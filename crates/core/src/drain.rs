@@ -17,7 +17,7 @@
 //! applies before anyone touches hardware. After repair, the drain is
 //! released and a verification soak runs.
 
-use dcmaint_dcnet::routing::pair_connectivity;
+use dcmaint_dcnet::routing::Components;
 use dcmaint_dcnet::{AdminState, LinkId, NetState, NodeId, Topology};
 use dcmaint_des::SimDuration;
 use dcmaint_faults::contact_set;
@@ -86,15 +86,18 @@ pub fn plan(
     service_pairs: &[(NodeId, NodeId)],
 ) -> DrainDecision {
     let contacts = contact_set(topo, target);
-    let before = pair_connectivity(topo, state, service_pairs);
+    // Each trial drain is one component labelling of `state` with the
+    // trial's links treated as drained; pairs are compared as counts.
+    let mut comps = Components::new();
+    comps.label(topo, state, &[]);
+    let before = comps.connected_pairs(service_pairs);
     // The target itself must be drainable; if not, defer the repair (the
     // fine-grained timing control §2 argues for).
-    let mut trial = state.clone();
-    trial.set_admin(target, AdminState::Drained);
-    if pair_connectivity(topo, &trial, service_pairs) < before {
+    let mut to_drain = vec![target];
+    comps.label(topo, state, &to_drain);
+    if comps.connected_pairs(service_pairs) < before {
         return DrainDecision::Defer { blocking: target };
     }
-    let mut to_drain = vec![target];
     if clumsy_actor && cfg.drain_contacts_for_humans {
         // Best-effort neighbor drains: protect as many contacts as the
         // fabric's redundancy allows. A neighbor whose drain would
@@ -105,11 +108,10 @@ pub fn plan(
             if to_drain.len() > cfg.max_drained_neighbors {
                 break;
             }
-            trial.set_admin(nb, AdminState::Drained);
-            if pair_connectivity(topo, &trial, service_pairs) < before {
-                trial.set_admin(nb, state.link(nb).admin);
-            } else {
-                to_drain.push(nb);
+            to_drain.push(nb);
+            comps.label(topo, state, &to_drain);
+            if comps.connected_pairs(service_pairs) < before {
+                to_drain.pop();
             }
         }
     }
@@ -143,6 +145,7 @@ pub fn release(state: &mut NetState, ann: &PreContactAnnouncement) {
 mod tests {
     use super::*;
     use dcmaint_dcnet::gen::leaf_spine;
+    use dcmaint_dcnet::routing::pair_connectivity;
     use dcmaint_dcnet::{DiversityProfile, LinkHealth};
     use dcmaint_des::SimRng;
 

@@ -17,7 +17,7 @@
 //! * **capacity headroom** — worst pairwise ECMP-path-count reduction,
 //!   a cheap proxy for throughput degradation during the window.
 
-use dcmaint_dcnet::routing::{connected, ecmp_path_count, pair_connectivity};
+use dcmaint_dcnet::routing::{ecmp_path_count, Components};
 use dcmaint_dcnet::{AdminState, LinkId, NetState, NodeId, Topology};
 use dcmaint_des::SimDuration;
 
@@ -48,10 +48,9 @@ impl WindowRisk {
 /// Assess the vulnerability window created by draining `drained` for
 /// `window` while the fabric is in `state`.
 ///
-/// Cost: O(|drained-state BFS| × (pairs + candidate links)). Candidate
-/// links for the single-fault check are restricted to links on the
-/// sampled pairs' current paths — a link off every path cannot
-/// disconnect them.
+/// Cost: two path-count BFS runs per sampled pair for the path-diversity
+/// ratio, and one O(nodes + links) component labelling per routable link
+/// for the single-fault check.
 pub fn assess_window(
     topo: &Topology,
     state: &NetState,
@@ -59,15 +58,15 @@ pub fn assess_window(
     window: SimDuration,
     service_pairs: &[(NodeId, NodeId)],
 ) -> WindowRisk {
-    // Build the what-if state.
+    // Build the what-if state (the path-count DP below runs on it).
     let mut whatif = state.clone();
     for &l in drained {
         whatif.set_admin(l, AdminState::Drained);
     }
-    let disconnected_pairs = service_pairs
-        .iter()
-        .filter(|&&(a, b)| !connected(topo, &whatif, a, b))
-        .count();
+    let mut comps = Components::new();
+    comps.label(topo, &whatif, &[]);
+    let before = comps.connected_pairs(service_pairs);
+    let disconnected_pairs = service_pairs.len() - before;
 
     // Path-diversity ratio.
     let mut worst_ratio: f64 = 1.0;
@@ -81,22 +80,13 @@ pub fn assess_window(
     }
 
     // Single-fault exposure: try failing each candidate link on top of
-    // the drain. Candidates: routable links touching any sampled pair's
-    // connectivity — approximated as all routable links of the (small)
-    // fabric neighborhood: links adjacent to pair endpoints plus all
-    // inter-switch links that remain routable.
-    let mut candidates: Vec<LinkId> = topo
-        .link_ids()
-        .filter(|&l| whatif.link(l).routable())
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let before = pair_connectivity(topo, &whatif, service_pairs);
+    // the drain, one component labelling per candidate. Candidates: every
+    // link still routable in the what-if state (a link that carries no
+    // traffic cannot disconnect anyone by failing).
     let mut exposed = Vec::new();
-    for &l in &candidates {
-        let mut trial = whatif.clone();
-        trial.set_admin(l, AdminState::Drained);
-        if pair_connectivity(topo, &trial, service_pairs) < before {
+    for l in topo.link_ids().filter(|&l| whatif.link(l).routable()) {
+        comps.label(topo, &whatif, &[l]);
+        if comps.connected_pairs(service_pairs) < before {
             exposed.push(l);
         }
     }

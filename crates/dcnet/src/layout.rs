@@ -117,14 +117,6 @@ impl HallLayout {
         }
     }
 
-    /// Floor-plan coordinates of a rack's center, meters.
-    pub fn rack_xy(&self, loc: RackLoc) -> (f64, f64) {
-        (
-            (f64::from(loc.col) + 0.5) * self.rack_width_m,
-            (f64::from(loc.row) + 0.5) * self.row_pitch_m,
-        )
-    }
-
     /// Aisle walking distance between two racks in meters (Manhattan along
     /// the row then across at the row head — humans and mobile robots
     /// cannot cut through racks).

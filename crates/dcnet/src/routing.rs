@@ -3,7 +3,9 @@
 //! The experiments need three routing questions answered, all against the
 //! *current* [`NetState`] (down/drained links excluded):
 //!
-//! 1. Is this server pair connected at all? → availability accounting.
+//! 1. Is this server pair connected at all? → availability accounting and
+//!    the drain checks; one [`Components`] labelling answers it for every
+//!    pair at once.
 //! 2. Which links does a flow between two nodes traverse? → flow model.
 //! 3. How much path diversity survives? → drain-impact estimates used by
 //!    the control plane before approving maintenance.
@@ -122,17 +124,74 @@ pub fn ecmp_path_count(topo: &Topology, state: &NetState, src: NodeId, dst: Node
     count[dst.index()]
 }
 
+/// Connected-component labels of every node over routable links.
+///
+/// One labelling answers "is this pair connected?" for every pair at
+/// once, so checking `p` service pairs costs one O(nodes + links) flood
+/// fill instead of `p` BFS runs. The buffers are reused across calls, and
+/// [`Components::label`] takes extra links to treat as drained, so a
+/// what-if check ("would draining these links disconnect anyone?") needs
+/// no copy of the [`NetState`].
+#[derive(Debug, Clone, Default)]
+pub struct Components {
+    label: Vec<u32>,
+    stack: Vec<NodeId>,
+}
+
+impl Components {
+    /// Empty buffers; the first [`Components::label`] sizes them.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Label every node's component over the links routable in `state`,
+    /// treating the links in `drained` as drained too.
+    pub fn label(&mut self, topo: &Topology, state: &NetState, drained: &[LinkId]) {
+        const UNSEEN: u32 = u32::MAX;
+        self.label.clear();
+        self.label.resize(topo.node_count(), UNSEEN);
+        let mut next = 0u32;
+        for root in topo.node_ids() {
+            if self.label[root.index()] != UNSEEN {
+                continue;
+            }
+            self.label[root.index()] = next;
+            self.stack.push(root);
+            while let Some(n) = self.stack.pop() {
+                for &(m, l) in topo.neighbors(n) {
+                    if self.label[m.index()] == UNSEEN
+                        && state.link(l).routable()
+                        && !drained.contains(&l)
+                    {
+                        self.label[m.index()] = next;
+                        self.stack.push(m);
+                    }
+                }
+            }
+            next += 1;
+        }
+    }
+
+    /// Whether `a` and `b` were connected in the last labelling.
+    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
+        self.label[a.index()] == self.label[b.index()]
+    }
+
+    /// How many of `pairs` were connected in the last labelling.
+    pub fn connected_pairs(&self, pairs: &[(NodeId, NodeId)]) -> usize {
+        pairs.iter().filter(|&&(a, b)| self.connected(a, b)).count()
+    }
+}
+
 /// Fraction of the given node pairs that are connected. The fleet-level
 /// service-availability proxy used by several experiments.
 pub fn pair_connectivity(topo: &Topology, state: &NetState, pairs: &[(NodeId, NodeId)]) -> f64 {
     if pairs.is_empty() {
         return 1.0;
     }
-    let ok = pairs
-        .iter()
-        .filter(|&&(a, b)| connected(topo, state, a, b))
-        .count();
-    ok as f64 / pairs.len() as f64
+    let mut comps = Components::new();
+    comps.label(topo, state, &[]);
+    comps.connected_pairs(pairs) as f64 / pairs.len() as f64
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -283,6 +342,26 @@ mod tests {
         s.set_health(access, LinkHealth::Down, 1.0);
         let frac = pair_connectivity(&t, &s, &pairs);
         assert!(frac < 1.0 && frac > 0.5);
+    }
+
+    #[test]
+    fn labels_match_per_pair_bfs_with_extra_drains() {
+        let (t, mut s) = ls();
+        let servers = t.servers();
+        s.set_health(t.links_of(servers[1])[0], LinkHealth::Down, 1.0);
+        let spine = t.node_ids().find(|&n| t.node(n).name == "spine-0").unwrap();
+        let drained = t.links_of(spine);
+        let mut whatif = s.clone();
+        for &l in &drained {
+            whatif.set_admin(l, AdminState::Drained);
+        }
+        let mut comps = Components::new();
+        comps.label(&t, &s, &drained);
+        for &a in &servers {
+            for &b in &servers {
+                assert_eq!(comps.connected(a, b), connected(&t, &whatif, a, b));
+            }
+        }
     }
 
     #[test]

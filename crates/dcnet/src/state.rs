@@ -102,6 +102,10 @@ impl LinkState {
 #[derive(Debug, Clone)]
 pub struct NetState {
     links: Vec<LinkState>,
+    /// Bitset of links whose loss rate is not exactly `+0.0` (bit `i % 64`
+    /// of word `i / 64`), kept by [`NetState::set_health`] so the
+    /// telemetry poll can find the lossy links without visiting all.
+    lossy: Vec<u64>,
 }
 
 impl NetState {
@@ -109,17 +113,13 @@ impl NetState {
     pub fn new(topo: &Topology) -> Self {
         NetState {
             links: vec![LinkState::default(); topo.link_count()],
+            lossy: vec![0; topo.link_count().div_ceil(64)],
         }
     }
 
     /// State of one link.
     pub fn link(&self, l: LinkId) -> &LinkState {
         &self.links[l.index()]
-    }
-
-    /// Mutable state of one link.
-    pub fn link_mut(&mut self, l: LinkId) -> &mut LinkState {
-        &mut self.links[l.index()]
     }
 
     /// Number of links tracked.
@@ -137,6 +137,18 @@ impl NetState {
         let s = &mut self.links[l.index()];
         s.health = health;
         s.loss_rate = loss_rate.clamp(0.0, 1.0);
+        let (word, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
+        if s.loss_rate.to_bits() == 0 {
+            self.lossy[word] &= !bit;
+        } else {
+            self.lossy[word] |= bit;
+        }
+    }
+
+    /// Bitset of links whose loss rate is not exactly `+0.0`: bit `i % 64`
+    /// of word `i / 64` is set for link `i`.
+    pub fn lossy_words(&self) -> &[u64] {
+        &self.lossy
     }
 
     /// Set admin state.
@@ -232,6 +244,20 @@ mod tests {
         let mut s = NetState::new(&t);
         s.set_admin(LinkId(2), AdminState::Draining);
         assert!(s.link(LinkId(2)).routable());
+    }
+
+    #[test]
+    fn lossy_bitset_follows_set_health() {
+        let t = topo();
+        let mut s = NetState::new(&t);
+        assert!(s.lossy_words().iter().all(|&w| w == 0));
+        s.set_health(LinkId(3), LinkHealth::Degraded, 0.01);
+        assert_eq!(s.lossy_words()[0], 1 << 3);
+        s.set_health(LinkId(3), LinkHealth::Up, 0.0);
+        assert!(s.lossy_words().iter().all(|&w| w == 0));
+        // Negative zero is not exactly +0.0, so it stays visible.
+        s.set_health(LinkId(3), LinkHealth::Up, -0.0);
+        assert_eq!(s.lossy_words()[0], 1 << 3);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Topology {
         &self.ports[id.index()]
     }
 
-    /// Mutable port access (reseat counters, transceiver swaps).
-    pub fn port_mut(&mut self, id: PortId) -> &mut Port {
-        &mut self.ports[id.index()]
-    }
-
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links

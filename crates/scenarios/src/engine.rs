@@ -33,7 +33,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dcmaint_dcnet::routing::pair_connectivity;
 use dcmaint_dcnet::{AdminState, LinkHealth, LinkId, NetState, NodeId, RackLoc, Topology};
 use dcmaint_des::{Fired, Scheduler, SimDuration, SimRng, SimTime, Stream};
 use dcmaint_faults::EndFace;
@@ -2693,12 +2692,6 @@ impl Engine {
             autonomic,
         }
     }
-}
-
-/// Debug/analysis helper: fraction of sampled service pairs connected in
-/// the given state (re-exported for examples).
-pub fn service_connectivity(topo: &Topology, state: &NetState, pairs: &[(NodeId, NodeId)]) -> f64 {
-    pair_connectivity(topo, state, pairs)
 }
 
 #[cfg(test)]

@@ -908,10 +908,9 @@ impl Engine {
             let health = health_from(dec.u8()?)?;
             let admin = admin_from(dec.u8()?)?;
             let loss = dec.f64()?;
-            let ls = self.state.link_mut(LinkId::from_index(i));
-            ls.health = health;
-            ls.admin = admin;
-            ls.loss_rate = loss;
+            let l = LinkId::from_index(i);
+            self.state.set_health(l, health, loss);
+            self.state.set_admin(l, admin);
         }
 
         // Components, same fixed order as `save_state`.

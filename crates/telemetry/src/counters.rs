@@ -68,6 +68,26 @@ impl LinkCounters {
         self.last_sample = t;
     }
 
+    /// Whether a zero-loss sample would change nothing but the sample
+    /// count and time: no flap edge is retained, and the loss EWMA is a
+    /// fixed point of the zero-loss update, bit for bit. That holds at
+    /// `+0.0`, and also at the smallest subnormal a decaying EWMA gets
+    /// stuck on (`0.7 · 5e-324` rounds back to `5e-324`). Reads the
+    /// retained edges as they are, without trimming them.
+    pub(crate) fn is_quiet(&self) -> bool {
+        let decayed = self.alpha * 0.0 + (1.0 - self.alpha) * self.loss_ewma;
+        self.transitions.is_empty() && decayed.to_bits() == self.loss_ewma.to_bits()
+    }
+
+    /// Account for `n` zero-loss samples on a quiet link, the last taken
+    /// at `t`: exactly what `n` calls of [`LinkCounters::record_sample`]
+    /// with loss `+0.0` would do while [`LinkCounters::is_quiet`] holds.
+    pub(crate) fn record_quiet_samples(&mut self, n: u64, t: SimTime) {
+        debug_assert!(self.is_quiet());
+        self.samples += n;
+        self.last_sample = t;
+    }
+
     /// Record a link state transition (up↔down edge or flap phase edge).
     pub fn record_transition(&mut self, t: SimTime) {
         self.transitions.push_back(t);

@@ -30,8 +30,8 @@ pub mod reconfig;
 
 use std::collections::BTreeSet;
 
-use dcmaint_dcnet::routing::pair_connectivity;
-use dcmaint_dcnet::{AdminState, NetState, NodeId, Topology};
+use dcmaint_dcnet::routing::Components;
+use dcmaint_dcnet::{NetState, NodeId, Topology};
 use dcmaint_des::{SimRng, Stream};
 
 /// Everything [`analyze`] measures about one topology.
@@ -166,12 +166,13 @@ fn drainability(topo: &Topology, pair_samples: usize, stream: &mut Stream) -> f6
         }
     }
     let state = NetState::new(topo);
-    let before = pair_connectivity(topo, &state, &pairs);
+    let mut comps = Components::new();
+    comps.label(topo, &state, &[]);
+    let before = comps.connected_pairs(&pairs);
     let mut drainable = 0usize;
     for l in topo.link_ids() {
-        let mut trial = state.clone();
-        trial.set_admin(l, AdminState::Drained);
-        if pair_connectivity(topo, &trial, &pairs) >= before {
+        comps.label(topo, &state, &[l]);
+        if comps.connected_pairs(&pairs) >= before {
             drainable += 1;
         }
     }

@@ -176,3 +176,26 @@ fn chained_restores_equal_continuous() {
         resumed.obs.as_ref().expect("obs on").journal
     );
 }
+
+/// Checkpoint bytes are pinned: the E1 cell (L3, seed 42) snapshotted at
+/// simulated days 3 and 15 must hash to the digests recorded before the
+/// telemetry poll started skipping quiet links. Host-time optimizations
+/// may not leak into the format — lazily accounted samples included.
+#[test]
+fn e1_checkpoint_bytes_are_golden() {
+    const GOLDEN: [(u64, usize, u64); 2] = [
+        (3, 237_270, 0xf04b_560e_e0f2_a529),
+        (15, 269_519, 0x6c73_f3ef_cebd_7775),
+    ];
+    let mut eng = Engine::new(ScenarioConfig::at_level(42, AutomationLevel::L3));
+    for (day, len, digest) in GOLDEN {
+        eng.run_until(SimTime::ZERO + SimDuration::from_days(day));
+        let bytes = eng.snapshot().to_bytes();
+        assert_eq!(bytes.len(), len, "snapshot length at day {day}");
+        assert_eq!(
+            selfmaint::ckpt::fnv1a64(&bytes),
+            digest,
+            "snapshot digest at day {day}"
+        );
+    }
+}

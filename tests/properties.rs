@@ -456,3 +456,181 @@ proptest! {
         prop_assert!(r.tickets_fixed + r.tickets_spurious <= r.tickets_total());
     }
 }
+
+// Differential tests of the connectivity fast path: component labelling
+// against one BFS per pair, and the drain planner against a reference
+// copy of the clone-and-BFS planner it replaced.
+
+/// Fraction of `pairs` connected, one BFS per pair.
+fn bfs_pair_connectivity(
+    topo: &selfmaint::net::Topology,
+    state: &NetState,
+    pairs: &[(selfmaint::net::NodeId, selfmaint::net::NodeId)],
+) -> f64 {
+    if pairs.is_empty() {
+        return 1.0;
+    }
+    let ok = pairs
+        .iter()
+        .filter(|&&(a, b)| connected(topo, state, a, b))
+        .count();
+    ok as f64 / pairs.len() as f64
+}
+
+/// The drain planner as it was before component labelling: clone the
+/// state, drain each trial link in the clone, and compare per-pair BFS
+/// connectivity fractions.
+fn reference_plan(
+    cfg: &selfmaint::control::DrainConfig,
+    topo: &selfmaint::net::Topology,
+    state: &NetState,
+    target: selfmaint::net::LinkId,
+    clumsy_actor: bool,
+    expected_duration: SimDuration,
+    service_pairs: &[(selfmaint::net::NodeId, selfmaint::net::NodeId)],
+) -> selfmaint::control::DrainDecision {
+    use selfmaint::control::{DrainDecision, PreContactAnnouncement};
+    use selfmaint::net::AdminState;
+    let contacts = selfmaint::faults::contact_set(topo, target);
+    let before = bfs_pair_connectivity(topo, state, service_pairs);
+    let mut trial = state.clone();
+    trial.set_admin(target, AdminState::Drained);
+    if bfs_pair_connectivity(topo, &trial, service_pairs) < before {
+        return DrainDecision::Defer { blocking: target };
+    }
+    let mut to_drain = vec![target];
+    if clumsy_actor && cfg.drain_contacts_for_humans {
+        for &nb in contacts.iter() {
+            if to_drain.len() > cfg.max_drained_neighbors {
+                break;
+            }
+            trial.set_admin(nb, AdminState::Drained);
+            if bfs_pair_connectivity(topo, &trial, service_pairs) < before {
+                trial.set_admin(nb, state.link(nb).admin);
+            } else {
+                to_drain.push(nb);
+            }
+        }
+    }
+    DrainDecision::Proceed(PreContactAnnouncement {
+        target,
+        contacts,
+        expected_duration,
+        drained: to_drain,
+    })
+}
+
+/// A random fabric (leaf-spine, or fat-tree k = 4 / 6) with random Down,
+/// Drained, Draining and Maintenance links, plus random server pairs
+/// (self-pairs included).
+fn random_fabric(
+    seed: u64,
+    shape: usize,
+    p_bad: f64,
+) -> (
+    selfmaint::net::Topology,
+    NetState,
+    Vec<(selfmaint::net::NodeId, selfmaint::net::NodeId)>,
+) {
+    use selfmaint::net::gen::fat_tree;
+    use selfmaint::net::{AdminState, LinkHealth};
+    let rng = SimRng::root(seed);
+    let mut draw = rng.stream("prop-fabric", 0);
+    let topo = match shape {
+        0 => leaf_spine(
+            2 + draw.index(3),
+            2 + draw.index(4),
+            1 + draw.index(3),
+            1 + draw.index(2),
+            DiversityProfile::standardized(),
+            &rng,
+        ),
+        1 => fat_tree(4, DiversityProfile::standardized(), &rng),
+        _ => fat_tree(6, DiversityProfile::standardized(), &rng),
+    };
+    let mut state = NetState::new(&topo);
+    for l in topo.link_ids() {
+        if !draw.chance(p_bad) {
+            continue;
+        }
+        match draw.index(4) {
+            0 => state.set_health(l, LinkHealth::Down, 1.0),
+            1 => state.set_admin(l, AdminState::Drained),
+            2 => state.set_admin(l, AdminState::Draining),
+            _ => state.set_admin(l, AdminState::Maintenance),
+        }
+    }
+    let servers = topo.servers();
+    let pairs = (0..draw.index(48))
+        .map(|_| {
+            (
+                servers[draw.index(servers.len())],
+                servers[draw.index(servers.len())],
+            )
+        })
+        .collect();
+    (topo, state, pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Labelled pair connectivity equals the per-pair BFS count on
+    /// random damaged fabrics.
+    #[test]
+    fn labelled_connectivity_matches_per_pair_bfs(
+        seed in 0u64..100_000,
+        shape in 0usize..3,
+        p_bad in 0.0f64..0.4,
+    ) {
+        use selfmaint::net::routing::{pair_connectivity, Components};
+        let (topo, state, pairs) = random_fabric(seed, shape, p_bad);
+        let bfs = pairs.iter().filter(|&&(a, b)| connected(&topo, &state, a, b)).count();
+        let mut comps = Components::new();
+        comps.label(&topo, &state, &[]);
+        prop_assert_eq!(comps.connected_pairs(&pairs), bfs);
+        prop_assert_eq!(
+            pair_connectivity(&topo, &state, &pairs).to_bits(),
+            bfs_pair_connectivity(&topo, &state, &pairs).to_bits()
+        );
+    }
+
+    /// `drain::plan` for robots and humans returns the same decision,
+    /// drained set and contact set as the clone-and-BFS reference.
+    #[test]
+    fn drain_plan_matches_reference_planner(
+        seed in 0u64..100_000,
+        shape in 0usize..3,
+        p_bad in 0.0f64..0.4,
+        max_nb in 0usize..8,
+    ) {
+        use selfmaint::control::drain::plan;
+        use selfmaint::control::{DrainConfig, DrainDecision};
+        let (topo, state, pairs) = random_fabric(seed, shape, p_bad);
+        let cfg = DrainConfig {
+            max_drained_neighbors: max_nb,
+            ..DrainConfig::default()
+        };
+        let mut pick = SimRng::root(seed).stream("prop-targets", 0);
+        for _ in 0..6 {
+            let target = selfmaint::net::LinkId::from_index(pick.index(topo.link_count()));
+            for clumsy in [false, true] {
+                let d = SimDuration::from_mins(30);
+                let fast = plan(&cfg, &topo, &state, target, clumsy, d, &pairs);
+                let slow = reference_plan(&cfg, &topo, &state, target, clumsy, d, &pairs);
+                match (fast, slow) {
+                    (DrainDecision::Defer { blocking: a }, DrainDecision::Defer { blocking: b }) => {
+                        prop_assert_eq!(a, b);
+                    }
+                    (DrainDecision::Proceed(a), DrainDecision::Proceed(b)) => {
+                        prop_assert_eq!(a.target, b.target);
+                        prop_assert_eq!(a.drained, b.drained);
+                        prop_assert_eq!(a.contacts, b.contacts);
+                        prop_assert_eq!(a.expected_duration, b.expected_duration);
+                    }
+                    (a, b) => prop_assert!(false, "decisions differ: {:?} vs {:?}", a, b),
+                }
+            }
+        }
+    }
+}
