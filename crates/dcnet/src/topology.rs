@@ -154,11 +154,6 @@ impl Topology {
         &self.links[id.index()]
     }
 
-    /// Mutable link access (cable replacement).
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.index()]
-    }
-
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()

@@ -34,9 +34,18 @@
 //!
 //! Cancellation: [`Scheduler::schedule`] returns an [`EventKey`]; a canceled
 //! key is skipped at pop time (lazy deletion), which keeps cancel O(1).
+//!
+//! Fixed-delay lanes: events that recur with one fixed delay (a polling
+//! tick, a label due a fixed horizon after its scan) can go through
+//! [`Scheduler::schedule_in_lane`] instead, which appends them to a FIFO
+//! per distinct delay beside the heap. A lane is sorted by `(at, seq)` by
+//! construction — `at = now + delay` with `now` never decreasing and
+//! `seq` always increasing — so the next event is the least of the heap
+//! top and the lane fronts, and the delivery order, keys and counters
+//! are exactly those of the heap alone.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -113,18 +122,29 @@ pub struct SchedProf {
     pub canceled: u64,
     /// Tombstone compaction passes actually run.
     pub compactions: u64,
-    /// Queue-depth high-water mark (entries physically in the heap).
+    /// Queue-depth high-water mark (entries physically queued, heap and
+    /// lanes together).
     pub max_pending: u64,
+}
+
+/// Where the next event sits: the heap top or the front of lane `i`.
+#[derive(Clone, Copy)]
+enum Head {
+    Heap,
+    Lane(usize),
 }
 
 /// Deterministic discrete-event scheduler. See the crate docs for the
 /// event-loop pattern.
 pub struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// One FIFO per distinct delay given to `schedule_in_lane`, each in
+    /// `(at, seq)` order.
+    lanes: Vec<(SimDuration, VecDeque<Entry<E>>)>,
     now: SimTime,
     seq: u64,
     canceled: BTreeSet<u64>,
-    /// Tombstones believed to sit in the heap. Exact for cancels of
+    /// Tombstones believed to sit in the queue. Exact for cancels of
     /// genuinely pending events; a cancel of an already-fired key
     /// overcounts until the next compaction recomputes the truth.
     tombstones: usize,
@@ -144,6 +164,7 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             canceled: BTreeSet::new(),
@@ -181,13 +202,13 @@ impl<E> Scheduler<E> {
 
     /// Number of events still pending (including lazily-canceled ones).
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.len()
     }
 
     /// Alias for [`Scheduler::pending`]: queue length including
-    /// tombstones — what the heap physically holds.
+    /// tombstones — what the heap and lanes physically hold.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(|(_, q)| q.len()).sum::<usize>()
     }
 
     /// Number of events that will actually fire: the queue length minus
@@ -195,12 +216,12 @@ impl<E> Scheduler<E> {
     /// pending events (canceling an already-fired key overcounts the
     /// tombstone estimate until the next compaction corrects it).
     pub fn live_len(&self) -> usize {
-        self.heap.len().saturating_sub(self.tombstones)
+        self.len().saturating_sub(self.tombstones)
     }
 
     /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Snapshot clock, delivery count, and queue depth in one call —
@@ -209,7 +230,7 @@ impl<E> Scheduler<E> {
         SchedStats {
             now: self.now,
             delivered: self.delivered,
-            pending: self.heap.len(),
+            pending: self.len(),
         }
     }
 
@@ -218,7 +239,12 @@ impl<E> Scheduler<E> {
     /// `now`). Events beyond the horizon are dropped and a dead key is
     /// returned.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventKey {
-        let at = at.max(self.now);
+        self.push(at.max(self.now), payload, None)
+    }
+
+    /// Queue `payload` at `at` (not before `now`), in the heap or in the
+    /// lane kept for `lane`.
+    fn push(&mut self, at: SimTime, payload: E, lane: Option<SimDuration>) -> EventKey {
         let seq = self.seq;
         self.seq += 1;
         if at > self.horizon {
@@ -226,15 +252,38 @@ impl<E> Scheduler<E> {
             self.prof.dropped_horizon += 1;
             return EventKey(seq);
         }
-        self.heap.push(Entry { at, seq, payload });
+        let entry = Entry { at, seq, payload };
+        match lane {
+            None => self.heap.push(entry),
+            Some(delay) => match self.lanes.iter_mut().find(|(d, _)| *d == delay) {
+                Some((_, q)) => {
+                    // A ring buffer touches all of its capacity as it
+                    // rotates, where a heap touches only its high-water
+                    // length, so grow by an eighth instead of doubling.
+                    if q.len() == q.capacity() {
+                        q.reserve_exact(q.len() / 8 + 1);
+                    }
+                    q.push_back(entry)
+                }
+                None => self.lanes.push((delay, VecDeque::from([entry]))),
+            },
+        }
         self.prof.scheduled += 1;
-        self.prof.max_pending = self.prof.max_pending.max(self.heap.len() as u64);
+        self.prof.max_pending = self.prof.max_pending.max(self.len() as u64);
         EventKey(seq)
     }
 
     /// Schedule `payload` after `delay` relative to `now`.
     pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventKey {
         self.schedule(self.now + delay, payload)
+    }
+
+    /// [`Scheduler::schedule_in`] through the FIFO lane kept for `delay`
+    /// (created on first use): an O(1) append instead of a heap push, for
+    /// events that recur with a fixed delay. Keys, delivery order,
+    /// horizon drops and counters are exactly those of `schedule_in`.
+    pub fn schedule_in_lane(&mut self, delay: SimDuration, payload: E) -> EventKey {
+        self.push(self.now + delay, payload, Some(delay))
     }
 
     /// Schedule `payload` to fire immediately (at `now`, after events
@@ -261,12 +310,13 @@ impl<E> Scheduler<E> {
         fresh
     }
 
-    /// Rebuild the heap without tombstoned entries once they exceed half
-    /// of it. Only keys actually found in the heap leave the canceled
-    /// set: a key canceled *after* firing stays recorded, preserving the
-    /// double-cancel contract (`cancel` returns `false` the second time).
+    /// Rebuild the heap and lanes without tombstoned entries once they
+    /// exceed half of the queue. Only keys actually found queued leave
+    /// the canceled set: a key canceled *after* firing stays recorded,
+    /// preserving the double-cancel contract (`cancel` returns `false`
+    /// the second time).
     fn maybe_compact(&mut self) {
-        if self.tombstones * 2 <= self.heap.len() {
+        if self.tombstones * 2 <= self.len() {
             return;
         }
         self.prof.compactions += 1;
@@ -278,15 +328,47 @@ impl<E> Scheduler<E> {
             }
         }
         self.heap = BinaryHeap::from(live);
+        for (_, q) in &mut self.lanes {
+            q.retain(|e| !self.canceled.remove(&e.seq));
+        }
         // Whatever remains in `canceled` refers to already-fired keys —
         // not tombstones in the heap.
         self.tombstones = 0;
     }
 
+    /// Where the earliest queued entry sits, tombstones included, with
+    /// its time and sequence number.
+    fn head(&self) -> Option<(Head, SimTime, u64)> {
+        let mut best = self.heap.peek().map(|e| (Head::Heap, e.at, e.seq));
+        for (i, (_, q)) in self.lanes.iter().enumerate() {
+            if let Some(e) = q.front() {
+                if best.is_none_or(|(_, at, seq)| (e.at, e.seq) < (at, seq)) {
+                    best = Some((Head::Lane(i), e.at, e.seq));
+                }
+            }
+        }
+        best
+    }
+
+    fn entry(&self, head: Head) -> &Entry<E> {
+        match head {
+            Head::Heap => self.heap.peek(),
+            Head::Lane(i) => self.lanes[i].1.front(),
+        }
+        .expect("head entry present")
+    }
+
+    fn take(&mut self, head: Head) -> Entry<E> {
+        match head {
+            Head::Heap => self.heap.pop(),
+            Head::Lane(i) => self.lanes[i].1.pop_front(),
+        }
+        .expect("head entry present")
+    }
+
     /// Timestamp of the next event that will fire, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_canceled();
-        self.heap.peek().map(|e| e.at)
+        self.skip_canceled().map(|(_, at)| at)
     }
 
     /// The next event that *will* fire — `(timestamp, &payload)` —
@@ -296,19 +378,15 @@ impl<E> Scheduler<E> {
     /// hook decision-point planners use to inspect the upcoming event
     /// before the engine commits to it.
     pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        self.skip_canceled();
-        match self.heap.peek() {
-            Some(e) if e.at <= self.horizon => Some((e.at, &e.payload)),
-            _ => None,
-        }
+        let (h, at) = self.skip_canceled()?;
+        (at <= self.horizon).then_some((at, &self.entry(h).payload))
     }
 
     /// Pop the next event, advancing `now` to its timestamp. Returns `None`
     /// when the queue is empty or the next event lies beyond the horizon (in
     /// which case `now` advances to the horizon).
     pub fn pop(&mut self) -> Option<Fired<E>> {
-        self.skip_canceled();
-        match self.heap.peek() {
+        match self.skip_canceled() {
             None => {
                 // Queue drained: the simulation has run to the end of time.
                 if self.horizon != SimTime::MAX {
@@ -316,12 +394,12 @@ impl<E> Scheduler<E> {
                 }
                 None
             }
-            Some(e) if e.at > self.horizon => {
+            Some((_, at)) if at > self.horizon => {
                 self.now = self.horizon;
                 None
             }
-            Some(_) => {
-                let e = self.heap.pop().expect("peeked entry present");
+            Some((h, _)) => {
+                let e = self.take(h);
                 self.now = e.at;
                 self.delivered += 1;
                 Some(Fired {
@@ -333,14 +411,16 @@ impl<E> Scheduler<E> {
         }
     }
 
-    fn skip_canceled(&mut self) {
-        while let Some(e) = self.heap.peek() {
-            if self.canceled.remove(&e.seq) {
-                self.heap.pop();
-                self.tombstones = self.tombstones.saturating_sub(1);
-            } else {
-                break;
+    /// Drop tombstones from the front of the queue; returns where the
+    /// next live entry sits, and its time.
+    fn skip_canceled(&mut self) -> Option<(Head, SimTime)> {
+        loop {
+            let (h, at, seq) = self.head()?;
+            if !self.canceled.remove(&seq) {
+                return Some((h, at));
             }
+            self.take(h);
+            self.tombstones = self.tombstones.saturating_sub(1);
         }
     }
 
@@ -365,11 +445,12 @@ impl<E> Scheduler<E> {
     /// compacts at the same instants a continuous one does. The sort
     /// makes the serialization canonical: two schedulers holding the
     /// same logical queue export identical sequences regardless of heap
-    /// layout history.
+    /// layout history, and whether an entry sits in the heap or a lane.
     pub fn export_entries(&self) -> Vec<(SimTime, u64, &E)> {
         let mut v: Vec<(SimTime, u64, &E)> = self
             .heap
             .iter()
+            .chain(self.lanes.iter().flat_map(|(_, q)| q))
             .map(|e| (e.at, e.seq, &e.payload))
             .collect();
         v.sort_by_key(|&(at, seq, _)| (at, seq));
@@ -393,7 +474,8 @@ impl<E> Scheduler<E> {
     /// produces; `canceled` is the exported tombstone set. The tombstone
     /// count is recomputed exactly (every canceled key matched against
     /// the entries), so compaction behavior after restore is identical
-    /// to the continuous run's.
+    /// to the continuous run's. Every entry goes back into the heap; the
+    /// lanes refill as new events are scheduled.
     pub fn restore(
         now: SimTime,
         seq: u64,
@@ -415,6 +497,7 @@ impl<E> Scheduler<E> {
         );
         Scheduler {
             heap,
+            lanes: Vec::new(),
             now,
             seq,
             canceled,

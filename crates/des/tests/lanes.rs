@@ -1,0 +1,169 @@
+//! Differential test of the scheduler's fixed-delay lanes: a scheduler
+//! fed `schedule_in_lane` must be indistinguishable from one fed
+//! `schedule_in` for the same calls, which keeps every event in the heap.
+//! Random interleavings of absolute and relative scheduling, lane
+//! scheduling over a few delays, cancels (often enough that compaction
+//! runs while lanes hold entries), pops, peeks and export → restore
+//! round trips must give identical pops, peeks, exports, keys, counters
+//! and lengths after every call.
+
+use dcmaint_des::{EventKey, Scheduler, SimDuration, SimTime};
+use proptest::prelude::*;
+
+/// One scheduler call, decoded from a raw draw.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `schedule` at an absolute instant (possibly in the past).
+    At(u64),
+    /// `schedule_in` with an arbitrary delay.
+    In(u64),
+    /// `schedule_in_lane` with one of the fixed delays; the reference
+    /// gets `schedule_in` with the same delay.
+    Lane(usize),
+    /// Cancel the `n`-th key handed out so far (wrapping).
+    Cancel(usize),
+    Pop,
+    Peek,
+    /// Export both schedulers and restore each from its own export.
+    RoundTrip,
+}
+
+fn decode(raw: (u32, u64), cancel_pct: u32, delays: usize) -> Op {
+    let (r, v) = raw;
+    if r < cancel_pct {
+        return Op::Cancel(v as usize);
+    }
+    match (r - cancel_pct) % 16 {
+        0 | 1 => Op::At(v % 400),
+        2 => Op::In(v % 120),
+        3..=7 => Op::Lane(v as usize % delays),
+        8..=11 => Op::Pop,
+        12 | 13 => Op::Peek,
+        14 => Op::RoundTrip,
+        _ => Op::Lane(0),
+    }
+}
+
+fn round_trip(s: &Scheduler<u64>) -> Scheduler<u64> {
+    let entries = s
+        .export_entries()
+        .into_iter()
+        .map(|(at, seq, &p)| (at, seq, p))
+        .collect();
+    let mut r = Scheduler::restore(
+        s.now(),
+        s.next_seq(),
+        s.delivered(),
+        s.horizon(),
+        entries,
+        s.export_canceled(),
+    );
+    r.set_prof(s.prof());
+    r
+}
+
+type Exported = (Vec<(SimTime, u64, u64)>, Vec<u64>);
+
+fn export(s: &Scheduler<u64>) -> Exported {
+    (
+        s.export_entries()
+            .into_iter()
+            .map(|(at, seq, &p)| (at, seq, p))
+            .collect(),
+        s.export_canceled(),
+    )
+}
+
+fn same_state(a: &Scheduler<u64>, b: &Scheduler<u64>, step: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(export(a), export(b), "exports differ after step {}", step);
+    prop_assert_eq!(a.next_seq(), b.next_seq());
+    prop_assert_eq!(a.delivered(), b.delivered());
+    prop_assert_eq!(a.prof(), b.prof(), "counters differ after step {}", step);
+    prop_assert_eq!(a.stats(), b.stats());
+    prop_assert_eq!(a.len(), b.len());
+    prop_assert_eq!(a.live_len(), b.live_len());
+    prop_assert_eq!(a.is_empty(), b.is_empty());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn lanes_match_heap_only_scheduler(
+        ops in prop::collection::vec((0u32..100, 0u64..1 << 40), 1..600),
+        cancel_pct in 0u32..70,
+        delays in 2usize..4,
+        bounded in 0u8..2,
+    ) {
+        let lane_delays = [
+            SimDuration::from_micros(15),
+            SimDuration::from_micros(90),
+            SimDuration::from_micros(15 * 7),
+        ];
+        let (mut lanes, mut heap) = if bounded == 1 {
+            let h = SimTime::from_micros(2_000);
+            (Scheduler::with_horizon(h), Scheduler::with_horizon(h))
+        } else {
+            (Scheduler::new(), Scheduler::new())
+        };
+        let mut keys: Vec<EventKey> = Vec::new();
+        for (step, &raw) in ops.iter().enumerate() {
+            let payload = step as u64;
+            match decode(raw, cancel_pct, delays) {
+                Op::At(t) => {
+                    let at = SimTime::from_micros(t);
+                    let k = lanes.schedule(at, payload);
+                    prop_assert_eq!(k, heap.schedule(at, payload));
+                    keys.push(k);
+                }
+                Op::In(d) => {
+                    let d = SimDuration::from_micros(d);
+                    let k = lanes.schedule_in(d, payload);
+                    prop_assert_eq!(k, heap.schedule_in(d, payload));
+                    keys.push(k);
+                }
+                Op::Lane(i) => {
+                    let d = lane_delays[i];
+                    let k = lanes.schedule_in_lane(d, payload);
+                    prop_assert_eq!(k, heap.schedule_in(d, payload));
+                    keys.push(k);
+                }
+                Op::Cancel(n) => {
+                    if !keys.is_empty() {
+                        let k = keys[n % keys.len()];
+                        prop_assert_eq!(lanes.cancel(k), heap.cancel(k));
+                    }
+                }
+                Op::Pop => {
+                    let a = lanes.pop().map(|f| (f.at, f.key, f.payload));
+                    let b = heap.pop().map(|f| (f.at, f.key, f.payload));
+                    prop_assert_eq!(a, b, "pops differ at step {}", step);
+                    prop_assert_eq!(lanes.now(), heap.now());
+                }
+                Op::Peek => {
+                    prop_assert_eq!(lanes.peek_time(), heap.peek_time());
+                    let a = lanes.peek().map(|(at, &p)| (at, p));
+                    let b = heap.peek().map(|(at, &p)| (at, p));
+                    prop_assert_eq!(a, b, "peeks differ at step {}", step);
+                }
+                Op::RoundTrip => {
+                    lanes = round_trip(&lanes);
+                    heap = round_trip(&heap);
+                }
+            }
+            same_state(&lanes, &heap, step)?;
+        }
+        // Drain both to the end.
+        loop {
+            let a = lanes.pop().map(|f| (f.at, f.key, f.payload));
+            let b = heap.pop().map(|f| (f.at, f.key, f.payload));
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        same_state(&lanes, &heap, ops.len())?;
+        prop_assert_eq!(lanes.now(), heap.now());
+    }
+}

@@ -554,7 +554,7 @@ fn build_engine(cfg: ScenarioConfig) -> Engine {
             );
         }
     }
-    eng.sched.schedule_in(eng.cfg.poll_period, Ev::Poll);
+    eng.sched.schedule_in_lane(eng.cfg.poll_period, Ev::Poll);
     eng.sched
         .schedule_in(SimDuration::from_hours(1), Ev::ProactiveScan);
     if let Some(pc) = eng.controller.predictive_config() {
@@ -1122,7 +1122,7 @@ impl Engine {
     // ----- telemetry → tickets --------------------------------------
 
     fn on_poll(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        sched.schedule_in(self.cfg.poll_period, Ev::Poll);
+        sched.schedule_in_lane(self.cfg.poll_period, Ev::Poll);
         // Telemetry dropout: the whole poll cycle is lost — counters
         // don't advance and no alerts fire until the next cycle. (Zero
         // draws when the fault model is disabled.)
@@ -2371,7 +2371,7 @@ impl Engine {
                 return;
             };
             let score = pred.score(&features);
-            let incidents_before = self.telemetry.counters_ref(l).incidents_total();
+            let incidents_before = self.telemetry.incidents_total(l);
             scored.push((l, score, features, incidents_before));
         }
         let max_flags = (self.topo.link_count() / 50).max(1);
@@ -2410,7 +2410,7 @@ impl Engine {
             }
         }
         for (l, _, features, incidents_before) in scored {
-            sched.schedule_in(
+            sched.schedule_in_lane(
                 horizon,
                 Ev::PredictiveLabel {
                     link: l,
@@ -2429,7 +2429,7 @@ impl Engine {
         flagged: bool,
         incidents_before: u64,
     ) {
-        let failed = self.telemetry.counters_ref(link).incidents_total() > incidents_before;
+        let failed = self.telemetry.incidents_total(link) > incidents_before;
         self.prediction.record(flagged, failed);
         // Train only on non-intervened links: a flagged link got
         // maintenance, so its (non-)failure is not a clean label.

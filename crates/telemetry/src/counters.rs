@@ -68,23 +68,38 @@ impl LinkCounters {
         self.last_sample = t;
     }
 
-    /// Whether a zero-loss sample would change nothing but the sample
-    /// count and time: no flap edge is retained, and the loss EWMA is a
-    /// fixed point of the zero-loss update, bit for bit. That holds at
-    /// `+0.0`, and also at the smallest subnormal a decaying EWMA gets
-    /// stuck on (`0.7 · 5e-324` rounds back to `5e-324`). Reads the
-    /// retained edges as they are, without trimming them.
-    pub(crate) fn is_quiet(&self) -> bool {
-        let decayed = self.alpha * 0.0 + (1.0 - self.alpha) * self.loss_ewma;
-        self.transitions.is_empty() && decayed.to_bits() == self.loss_ewma.to_bits()
+    /// Whether more samples at `loss` would change nothing but the
+    /// sample counts and time, given the detector stays silent: no flap
+    /// edge is retained, and either `loss` is `+0.0` (the EWMA can then
+    /// only decay) or the loss EWMA is a fixed point of the update at
+    /// `loss`, bit for bit. Reads the retained edges as they are, without
+    /// trimming them.
+    pub(crate) fn is_steady_at(&self, loss: f64) -> bool {
+        let next = self.alpha * loss.clamp(0.0, 1.0) + (1.0 - self.alpha) * self.loss_ewma;
+        self.transitions.is_empty()
+            && (loss.to_bits() == 0 || next.to_bits() == self.loss_ewma.to_bits())
     }
 
-    /// Account for `n` zero-loss samples on a quiet link, the last taken
-    /// at `t`: exactly what `n` calls of [`LinkCounters::record_sample`]
-    /// with loss `+0.0` would do while [`LinkCounters::is_quiet`] holds.
-    pub(crate) fn record_quiet_samples(&mut self, n: u64, t: SimTime) {
-        debug_assert!(self.is_quiet());
+    /// Account for `n` samples at `loss` on a link steady at that loss,
+    /// the last taken at `t`: exactly what `n` calls of
+    /// [`LinkCounters::record_sample`] would do while
+    /// [`LinkCounters::is_steady_at`] holds. At zero loss the decay is
+    /// replayed one sample at a time until it reaches its fixed point.
+    pub(crate) fn record_steady_samples(&mut self, n: u64, loss: f64, t: SimTime) {
+        debug_assert!(self.is_steady_at(loss));
         self.samples += n;
+        if loss.clamp(0.0, 1.0) > Self::ERRORED_THRESHOLD {
+            self.errored_samples += n;
+        }
+        if loss.to_bits() == 0 {
+            for _ in 0..n {
+                let next = self.alpha * 0.0 + (1.0 - self.alpha) * self.loss_ewma;
+                if next.to_bits() == self.loss_ewma.to_bits() {
+                    break;
+                }
+                self.loss_ewma = next;
+            }
+        }
         self.last_sample = t;
     }
 

@@ -162,14 +162,6 @@ impl Detector {
         })
     }
 
-    /// Whether evaluating a quiet link (zero loss, no retained flap edge,
-    /// loss EWMA `loss_ewma`) leaves this detector unchanged and silent:
-    /// it is armed, zero edges cannot meet the flap threshold, and the
-    /// EWMA is below the gray threshold.
-    pub(crate) fn is_quiet(&self, loss_ewma: f64) -> bool {
-        self.armed && self.flap_threshold > 0 && loss_ewma < self.gray_loss
-    }
-
     /// Whether the detector may fire.
     pub fn is_armed(&self) -> bool {
         self.armed

@@ -7,14 +7,19 @@
 //! `sample` returns the alerts that fired this tick; the control plane
 //! turns them into maintenance requests.
 //!
-//! Most links are *quiet* most of the time: zero loss, a loss EWMA that
-//! a zero-loss sample leaves unchanged (`+0.0`, or the subnormal a
-//! decayed EWMA sticks at) and below the gray threshold, no retained flap
-//! edge, and an armed detector. Polling a quiet link only counts the
-//! sample and stamps its time, so `sample` visits just the links that
-//! can change — those marked active here plus those [`NetState`] reports
-//! lossy — and each skipped link's two fields are brought up to date in
-//! closed form before anything reads or changes them.
+//! Most links are *steady* most of the time, at some loss `L`: no
+//! retained flap edge, an armed detector, a loss EWMA below the gray
+//! threshold, `L` short of hard down, and either `L = +0.0` (the EWMA
+//! can then only decay, staying below the threshold) or an EWMA that a
+//! sample at `L` leaves bit-identical (a constant sub-gray loss such as a
+//! flapping link's precursor loss). Polling a steady link cannot alert;
+//! it only counts the sample (errored when `L` is), stamps its time and,
+//! at zero loss, decays the EWMA. So `sample` fully visits just the links
+//! marked active here; a skipped link is looked at only while its loss
+//! is nonzero now or was nonzero when it was skipped, and then only to
+//! compare the loss with `L`. Each skipped link's counters are brought
+//! up to date — in closed form, or by replaying the decay until it
+//! reaches its fixed point — before anything reads or changes them.
 
 use std::borrow::Cow;
 
@@ -29,12 +34,18 @@ use crate::detect::{Alert, Detector};
 pub struct TelemetryPlane {
     counters: Vec<LinkCounters>,
     detectors: Vec<Detector>,
-    /// Links a poll visits even at zero loss (bit `i % 64` of word
-    /// `i / 64`). A link whose bit is clear and whose loss is zero is
-    /// quiet.
+    /// Links a poll visits in full (bit `i % 64` of word `i / 64`). A
+    /// link whose bit is clear is steady at `steady_loss[i]`.
     active: Vec<u64>,
-    /// Per link, the number of polls its `samples` / `last_sample`
-    /// account for; it lags `polls` while the link is skipped.
+    /// Links last found steady at a nonzero loss, so a poll must check
+    /// their loss even once it returns to zero. Read only for links
+    /// outside `active`.
+    held: Vec<u64>,
+    /// Per link outside `active`, the loss it is steady at: every poll
+    /// it lags sampled exactly this value.
+    steady_loss: Vec<f64>,
+    /// Per link, the number of polls its counters account for; it lags
+    /// `polls` while the link is skipped.
     synced: Vec<u64>,
     /// Polls taken so far.
     polls: u64,
@@ -73,6 +84,8 @@ impl TelemetryPlane {
             counters,
             detectors,
             active: vec![0; n.div_ceil(64)],
+            held: vec![0; n.div_ceil(64)],
+            steady_loss: vec![0.0; n],
             synced: vec![0; n],
             polls: 0,
             last_poll: SimTime::ZERO,
@@ -84,11 +97,11 @@ impl TelemetryPlane {
         plane
     }
 
-    /// Bring a skipped link's sample count and time up to date.
+    /// Bring a skipped link's counters up to date.
     fn catch_up(&mut self, i: usize) {
         let lag = self.polls - self.synced[i];
         if lag > 0 {
-            self.counters[i].record_quiet_samples(lag, self.last_poll);
+            self.counters[i].record_steady_samples(lag, self.steady_loss[i], self.last_poll);
             self.synced[i] = self.polls;
         }
     }
@@ -101,7 +114,7 @@ impl TelemetryPlane {
             return Cow::Borrowed(&self.counters[i]);
         }
         let mut c = self.counters[i].clone();
-        c.record_quiet_samples(lag, self.last_poll);
+        c.record_steady_samples(lag, self.steady_loss[i], self.last_poll);
         Cow::Owned(c)
     }
 
@@ -122,6 +135,13 @@ impl TelemetryPlane {
         self.caught_up(l.index())
     }
 
+    /// Lifetime incident count of one link. Unlike
+    /// [`Self::counters_ref`] it needs no catch-up: sampling never
+    /// touches it.
+    pub fn incidents_total(&self, l: LinkId) -> u64 {
+        self.counters[l.index()].incidents_total()
+    }
+
     /// Notify of a health transition on a link (flap edge, down, up).
     pub fn on_transition(&mut self, l: LinkId, now: SimTime) {
         self.catch_up(l.index());
@@ -134,11 +154,14 @@ impl TelemetryPlane {
         self.counters[l.index()].record_incident();
     }
 
-    /// Notify that maintenance completed and verified on a link.
+    /// Notify that maintenance completed and verified on a link. The
+    /// EWMA reset moves it off any fixed point at a nonzero loss, so the
+    /// link becomes active.
     pub fn on_maintenance(&mut self, l: LinkId, now: SimTime) {
         self.catch_up(l.index());
         self.counters[l.index()].record_maintenance(now);
         self.detectors[l.index()].rearm();
+        self.mark_active(l.index());
     }
 
     /// Append the whole plane's state to a checkpoint. Skipped links are
@@ -173,29 +196,40 @@ impl TelemetryPlane {
     /// Poll every link once: record loss samples from the live state and
     /// evaluate detectors. Returns alerts raised this tick, in link order.
     ///
-    /// Only active or lossy links are visited; a quiet link's sample is
-    /// accounted for when it is next caught up. A visited link that ends
-    /// the poll quiet leaves the active set.
+    /// Only active links, lossy links and links held at a nonzero loss
+    /// are looked at, and a steady link whose loss is still the one it is
+    /// steady at is skipped; its sample is accounted for when it is next
+    /// caught up. A visited link that ends the poll steady leaves the
+    /// active set.
     pub fn sample(&mut self, topo: &Topology, state: &NetState, now: SimTime) -> Vec<Alert> {
         debug_assert_eq!(topo.link_count(), self.counters.len());
         let mut alerts = Vec::new();
         for (w, &lossy_word) in state.lossy_words().iter().enumerate() {
-            let mut bits = self.active[w] | lossy_word;
+            let mut bits = self.active[w] | self.held[w] | lossy_word;
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.catch_up(i);
-                self.synced[i] = self.polls + 1;
+                let bit = 1u64 << (i % 64);
                 let l = LinkId::from_index(i);
                 let loss = state.link(l).loss_rate;
+                if self.active[w] & bit == 0 && loss.to_bits() == self.steady_loss[i].to_bits() {
+                    continue;
+                }
+                self.catch_up(i);
+                self.synced[i] = self.polls + 1;
                 let (c, d) = (&mut self.counters[i], &mut self.detectors[i]);
                 c.record_sample(now, loss);
                 if let Some(a) = d.evaluate(l, c, loss, now) {
                     alerts.push(a);
                 }
-                let bit = 1u64 << (i % 64);
-                if loss.to_bits() == 0 && c.is_quiet() && d.is_quiet(c.loss_ewma()) {
+                if is_steady(c, d, loss) {
                     self.active[w] &= !bit;
+                    self.steady_loss[i] = loss;
+                    if loss.to_bits() == 0 {
+                        self.held[w] &= !bit;
+                    } else {
+                        self.held[w] |= bit;
+                    }
                 } else {
                     self.active[w] |= bit;
                 }
@@ -205,6 +239,19 @@ impl TelemetryPlane {
         self.last_poll = now;
         alerts
     }
+}
+
+/// Whether polling a link at `loss` again leaves its detector silent and
+/// unchanged and its counters changed only as
+/// [`LinkCounters::record_steady_samples`] replays: the detector is armed,
+/// zero retained edges cannot meet its flap threshold, the EWMA is below
+/// the gray threshold and `loss` short of hard down.
+fn is_steady(c: &LinkCounters, d: &Detector, loss: f64) -> bool {
+    d.is_armed()
+        && d.flap_threshold > 0
+        && c.loss_ewma() < d.gray_loss
+        && loss < 0.999
+        && c.is_steady_at(loss)
 }
 
 #[cfg(test)]
