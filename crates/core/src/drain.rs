@@ -17,7 +17,7 @@
 //! applies before anyone touches hardware. After repair, the drain is
 //! released and a verification soak runs.
 
-use dcmaint_dcnet::routing::Components;
+use dcmaint_dcnet::routing::CutQuery;
 use dcmaint_dcnet::{AdminState, LinkId, NetState, NodeId, Topology};
 use dcmaint_des::SimDuration;
 use dcmaint_faults::contact_set;
@@ -86,18 +86,15 @@ pub fn plan(
     service_pairs: &[(NodeId, NodeId)],
 ) -> DrainDecision {
     let contacts = contact_set(topo, target);
-    // Each trial drain is one component labelling of `state` with the
-    // trial's links treated as drained; pairs are compared as counts.
-    let mut comps = Components::new();
-    comps.label(topo, state, &[]);
-    let before = comps.connected_pairs(service_pairs);
+    // Each trial drain asks one local question: does draining this link,
+    // on top of the ones already planned, disconnect a service pair?
+    let mut cut = CutQuery::new();
     // The target itself must be drainable; if not, defer the repair (the
     // fine-grained timing control §2 argues for).
-    let mut to_drain = vec![target];
-    comps.label(topo, state, &to_drain);
-    if comps.connected_pairs(service_pairs) < before {
+    if cut.loses_pair(topo, state, &[], target, service_pairs) {
         return DrainDecision::Defer { blocking: target };
     }
+    let mut to_drain = vec![target];
     if clumsy_actor && cfg.drain_contacts_for_humans {
         // Best-effort neighbor drains: protect as many contacts as the
         // fabric's redundancy allows. A neighbor whose drain would
@@ -108,10 +105,8 @@ pub fn plan(
             if to_drain.len() > cfg.max_drained_neighbors {
                 break;
             }
-            to_drain.push(nb);
-            comps.label(topo, state, &to_drain);
-            if comps.connected_pairs(service_pairs) < before {
-                to_drain.pop();
+            if !cut.loses_pair(topo, state, &to_drain, nb, service_pairs) {
+                to_drain.push(nb);
             }
         }
     }

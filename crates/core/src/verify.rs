@@ -17,7 +17,7 @@
 //! * **capacity headroom** — worst pairwise ECMP-path-count reduction,
 //!   a cheap proxy for throughput degradation during the window.
 
-use dcmaint_dcnet::routing::{ecmp_path_count, Components};
+use dcmaint_dcnet::routing::{ecmp_path_count, Components, CutQuery};
 use dcmaint_dcnet::{AdminState, LinkId, NetState, NodeId, Topology};
 use dcmaint_des::SimDuration;
 
@@ -48,9 +48,10 @@ impl WindowRisk {
 /// Assess the vulnerability window created by draining `drained` for
 /// `window` while the fabric is in `state`.
 ///
-/// Cost: two path-count BFS runs per sampled pair for the path-diversity
-/// ratio, and one O(nodes + links) component labelling per routable link
-/// for the single-fault check.
+/// Cost: one copy of `state` and one component labelling for the drain
+/// itself, two path-count BFS runs per sampled pair for the
+/// path-diversity ratio, and one [`CutQuery`] per link for the
+/// single-fault check, which searches only near that link.
 pub fn assess_window(
     topo: &Topology,
     state: &NetState,
@@ -64,9 +65,8 @@ pub fn assess_window(
         whatif.set_admin(l, AdminState::Drained);
     }
     let mut comps = Components::new();
-    comps.label(topo, &whatif, &[]);
-    let before = comps.connected_pairs(service_pairs);
-    let disconnected_pairs = service_pairs.len() - before;
+    comps.label(topo, &whatif);
+    let disconnected_pairs = service_pairs.len() - comps.connected_pairs(service_pairs);
 
     // Path-diversity ratio.
     let mut worst_ratio: f64 = 1.0;
@@ -79,17 +79,15 @@ pub fn assess_window(
         worst_ratio = worst_ratio.min(after as f64 / before as f64);
     }
 
-    // Single-fault exposure: try failing each candidate link on top of
-    // the drain, one component labelling per candidate. Candidates: every
-    // link still routable in the what-if state (a link that carries no
-    // traffic cannot disconnect anyone by failing).
-    let mut exposed = Vec::new();
-    for l in topo.link_ids().filter(|&l| whatif.link(l).routable()) {
-        comps.label(topo, &whatif, &[l]);
-        if comps.connected_pairs(service_pairs) < before {
-            exposed.push(l);
-        }
-    }
+    // Single-fault exposure: a link is exposed when failing it on top of
+    // the drain disconnects a pair the drain left connected. A link that
+    // is not routable in the what-if state carries no traffic and is
+    // never exposed.
+    let mut cut = CutQuery::new();
+    let exposed: Vec<LinkId> = topo
+        .link_ids()
+        .filter(|&l| cut.loses_pair(topo, &whatif, &[], l, service_pairs))
+        .collect();
     WindowRisk {
         disconnected_pairs,
         exposure_link_seconds: exposed.len() as f64 * window.as_secs_f64(),

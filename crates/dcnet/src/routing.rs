@@ -1,13 +1,14 @@
 //! Routing over the live network: BFS shortest paths with ECMP tie-breaks.
 //!
-//! The experiments need three routing questions answered, all against the
+//! The experiments need four routing questions answered, all against the
 //! *current* [`NetState`] (down/drained links excluded):
 //!
-//! 1. Is this server pair connected at all? → availability accounting and
-//!    the drain checks; one [`Components`] labelling answers it for every
-//!    pair at once.
-//! 2. Which links does a flow between two nodes traverse? → flow model.
-//! 3. How much path diversity survives? → drain-impact estimates used by
+//! 1. Is this server pair connected at all? → availability accounting;
+//!    one [`Components`] labelling answers it for every pair at once.
+//! 2. Would draining one more link disconnect a service pair? → the drain
+//!    checks; a [`CutQuery`] answers it by searching only near that link.
+//! 3. Which links does a flow between two nodes traverse? → flow model.
+//! 4. How much path diversity survives? → drain-impact estimates used by
 //!    the control plane before approving maintenance.
 //!
 //! Path selection is deterministic: among equal-cost next hops, a
@@ -128,10 +129,7 @@ pub fn ecmp_path_count(topo: &Topology, state: &NetState, src: NodeId, dst: Node
 ///
 /// One labelling answers "is this pair connected?" for every pair at
 /// once, so checking `p` service pairs costs one O(nodes + links) flood
-/// fill instead of `p` BFS runs. The buffers are reused across calls, and
-/// [`Components::label`] takes extra links to treat as drained, so a
-/// what-if check ("would draining these links disconnect anyone?") needs
-/// no copy of the [`NetState`].
+/// fill instead of `p` BFS runs. The buffers are reused across calls.
 #[derive(Debug, Clone, Default)]
 pub struct Components {
     label: Vec<u32>,
@@ -144,9 +142,8 @@ impl Components {
         Self::default()
     }
 
-    /// Label every node's component over the links routable in `state`,
-    /// treating the links in `drained` as drained too.
-    pub fn label(&mut self, topo: &Topology, state: &NetState, drained: &[LinkId]) {
+    /// Label every node's component over the links routable in `state`.
+    pub fn label(&mut self, topo: &Topology, state: &NetState) {
         const UNSEEN: u32 = u32::MAX;
         self.label.clear();
         self.label.resize(topo.node_count(), UNSEEN);
@@ -159,10 +156,7 @@ impl Components {
             self.stack.push(root);
             while let Some(n) = self.stack.pop() {
                 for &(m, l) in topo.neighbors(n) {
-                    if self.label[m.index()] == UNSEEN
-                        && state.link(l).routable()
-                        && !drained.contains(&l)
-                    {
+                    if self.label[m.index()] == UNSEEN && state.link(l).routable() {
                         self.label[m.index()] = next;
                         self.stack.push(m);
                     }
@@ -183,6 +177,161 @@ impl Components {
     }
 }
 
+/// "Would draining link `e`, on top of the links `drained`, disconnect a
+/// pair?", answered by searching only near `e`.
+///
+/// Draining links can only split pairs, never join them, so the set of
+/// connected pairs shrinks exactly when its count does: comparing
+/// connected-pair counts before and after a trial drain asks the same
+/// question as "is some pair still connected with `drained` out split by
+/// `e`?". That is a local question. Search from both endpoints of `e` at
+/// once over the links still routable (not `e`, not in `drained`),
+/// expanding the smaller frontier first. If the searches meet, `e` is on
+/// a cycle and no pair loses its connection. If one side runs out first,
+/// its nodes are a whole component `S` of the drained graph, and a pair is
+/// lost exactly when one endpoint is in `S` and the other reaches the far
+/// side; that is checked by a search from the partner endpoint.
+///
+/// Nodes are marked with per-query stamps, so no query clears a
+/// node-sized array. Partner searches share one stamp: a failed search
+/// has stamped its partner's whole component, which holds no far-side
+/// node, so a later partner found stamped is answered at once.
+#[derive(Debug, Clone, Default)]
+pub struct CutQuery {
+    mark: Vec<u32>,
+    stamp: u32,
+    near: Vec<NodeId>,
+    far: Vec<NodeId>,
+    /// Node expansions across every query so far: a deterministic work
+    /// counter for tests.
+    pub expansions: u64,
+}
+
+impl CutQuery {
+    /// Empty buffers; the first query sizes them.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether draining `e` on top of `drained` (and the links unroutable
+    /// in `state`) disconnects a pair of `pairs` that is connected
+    /// without it. Draining a link that is unroutable or already in
+    /// `drained` changes nothing, so it returns `false`.
+    pub fn loses_pair(
+        &mut self,
+        topo: &Topology,
+        state: &NetState,
+        drained: &[LinkId],
+        e: LinkId,
+        pairs: &[(NodeId, NodeId)],
+    ) -> bool {
+        let (u, v) = topo.endpoints(e);
+        if !state.link(e).routable() || drained.contains(&e) {
+            return false;
+        }
+        let open = |l: LinkId| l != e && state.link(l).routable() && !drained.contains(&l);
+        let base = self.next_stamps(topo.node_count());
+        let (side_u, side_v, failed) = (base, base + 1, base + 2);
+        self.mark[u.index()] = side_u;
+        self.mark[v.index()] = side_v;
+        self.near.clear();
+        self.far.clear();
+        self.near.push(u);
+        self.far.push(v);
+        // `near` is always the side being expanded; swap to keep it the
+        // smaller frontier.
+        let (mut mine, mut theirs) = (side_u, side_v);
+        loop {
+            if self.far.len() < self.near.len() {
+                std::mem::swap(&mut self.near, &mut self.far);
+                std::mem::swap(&mut mine, &mut theirs);
+            }
+            let Some(n) = self.near.pop() else { break };
+            self.expansions += 1;
+            for &(m, l) in topo.neighbors(n) {
+                if !open(l) {
+                    continue;
+                }
+                let seen = self.mark[m.index()];
+                if seen == theirs {
+                    return false;
+                }
+                if seen != mine {
+                    self.mark[m.index()] = mine;
+                    self.near.push(m);
+                }
+            }
+        }
+        // `near` ran out: its side, stamped `mine`, is a whole component.
+        let (enclosed, far_side) = (mine, theirs);
+        for &(a, b) in pairs {
+            let partner = match (
+                self.mark[a.index()] == enclosed,
+                self.mark[b.index()] == enclosed,
+            ) {
+                (true, false) => b,
+                (false, true) => a,
+                _ => continue,
+            };
+            if self.reaches(topo, &open, partner, far_side, failed) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Whether `from` reaches a node stamped `target`. Every node the
+    /// search visits is stamped `failed`, which is true of its whole
+    /// component whenever the search does fail.
+    fn reaches(
+        &mut self,
+        topo: &Topology,
+        open: &impl Fn(LinkId) -> bool,
+        from: NodeId,
+        target: u32,
+        failed: u32,
+    ) -> bool {
+        match self.mark[from.index()] {
+            m if m == target => return true,
+            m if m == failed => return false,
+            _ => {}
+        }
+        self.mark[from.index()] = failed;
+        self.far.clear();
+        self.far.push(from);
+        while let Some(n) = self.far.pop() {
+            self.expansions += 1;
+            for &(m, l) in topo.neighbors(n) {
+                if !open(l) {
+                    continue;
+                }
+                let seen = self.mark[m.index()];
+                if seen == target {
+                    return true;
+                }
+                if seen != failed {
+                    self.mark[m.index()] = failed;
+                    self.far.push(m);
+                }
+            }
+        }
+        false
+    }
+
+    /// Three fresh stamps `base..base + 3`, all above every stamp in
+    /// `mark`. The marks are cleared only when the node count changes or
+    /// the counter nears wrap-around.
+    fn next_stamps(&mut self, nodes: usize) -> u32 {
+        if self.mark.len() != nodes || self.stamp > u32::MAX - 6 {
+            self.mark.clear();
+            self.mark.resize(nodes, 0);
+            self.stamp = 0;
+        }
+        self.stamp += 3;
+        self.stamp
+    }
+}
+
 /// Fraction of the given node pairs that are connected. The fleet-level
 /// service-availability proxy used by several experiments.
 pub fn pair_connectivity(topo: &Topology, state: &NetState, pairs: &[(NodeId, NodeId)]) -> f64 {
@@ -190,7 +339,7 @@ pub fn pair_connectivity(topo: &Topology, state: &NetState, pairs: &[(NodeId, No
         return 1.0;
     }
     let mut comps = Components::new();
-    comps.label(topo, state, &[]);
+    comps.label(topo, state);
     comps.connected_pairs(pairs) as f64 / pairs.len() as f64
 }
 
@@ -344,22 +493,79 @@ mod tests {
         assert!(frac < 1.0 && frac > 0.5);
     }
 
-    #[test]
-    fn labels_match_per_pair_bfs_with_extra_drains() {
+    /// A leaf-spine with one server's access link down and every link of
+    /// spine-0 drained on top, plus every server pair.
+    fn damaged() -> (Topology, NetState, Vec<LinkId>, Vec<(NodeId, NodeId)>) {
         let (t, mut s) = ls();
         let servers = t.servers();
         s.set_health(t.links_of(servers[1])[0], LinkHealth::Down, 1.0);
         let spine = t.node_ids().find(|&n| t.node(n).name == "spine-0").unwrap();
         let drained = t.links_of(spine);
+        let pairs = servers
+            .iter()
+            .flat_map(|&a| servers.iter().map(move |&b| (a, b)))
+            .collect();
+        (t, s, drained, pairs)
+    }
+
+    #[test]
+    fn labels_match_per_pair_bfs() {
+        let (t, s, drained, _) = damaged();
         let mut whatif = s.clone();
         for &l in &drained {
             whatif.set_admin(l, AdminState::Drained);
         }
+        let servers = t.servers();
         let mut comps = Components::new();
-        comps.label(&t, &s, &drained);
+        comps.label(&t, &whatif);
         for &a in &servers {
             for &b in &servers {
                 assert_eq!(comps.connected(a, b), connected(&t, &whatif, a, b));
+            }
+        }
+    }
+
+    #[test]
+    fn cut_query_ignores_partners_in_a_third_component() {
+        let (t, mut s) = ls();
+        let servers = t.servers();
+        // servers[1] sits alone; cutting servers[0] off splits it from
+        // everyone but servers[1].
+        s.set_health(t.links_of(servers[1])[0], LinkHealth::Down, 1.0);
+        let e = t.links_of(servers[0])[0];
+        let mut q = CutQuery::new();
+        let isolated = (servers[0], servers[1]);
+        assert!(!q.loses_pair(&t, &s, &[], e, &[isolated]));
+        assert!(!q.loses_pair(
+            &t,
+            &s,
+            &[],
+            e,
+            &[isolated, isolated, (servers[1], servers[0])]
+        ));
+        assert!(q.loses_pair(&t, &s, &[], e, &[isolated, (servers[2], servers[0])]));
+        // Already drained, or down: draining it again changes nothing.
+        assert!(!q.loses_pair(&t, &s, &[e], e, &[(servers[0], servers[2])]));
+        assert!(!q.loses_pair(&t, &s, &[], t.links_of(servers[1])[0], &[isolated]));
+    }
+
+    #[test]
+    fn cut_query_survives_stamp_wraparound() {
+        let (t, s, drained, pairs) = damaged();
+        let mut q = CutQuery::new();
+        q.loses_pair(&t, &s, &drained, t.link_ids().next().unwrap(), &pairs);
+        let searched = t
+            .link_ids()
+            .filter(|&e| s.link(e).routable() && !drained.contains(&e));
+        for e in searched {
+            let want = CutQuery::new().loses_pair(&t, &s, &drained, e, &pairs);
+            // Marks left by the cycle before a wrap never read as this
+            // cycle's stamps, whatever they were.
+            for stale in 0..12 {
+                q.mark.fill(stale);
+                q.stamp = u32::MAX - 5;
+                assert_eq!(q.loses_pair(&t, &s, &drained, e, &pairs), want, "{e:?}");
+                assert_eq!(q.stamp, 3, "the stamps restart after wrapping");
             }
         }
     }

@@ -30,7 +30,7 @@ pub mod reconfig;
 
 use std::collections::BTreeSet;
 
-use dcmaint_dcnet::routing::Components;
+use dcmaint_dcnet::routing::CutQuery;
 use dcmaint_dcnet::{NetState, NodeId, Topology};
 use dcmaint_des::{SimRng, Stream};
 
@@ -166,16 +166,11 @@ fn drainability(topo: &Topology, pair_samples: usize, stream: &mut Stream) -> f6
         }
     }
     let state = NetState::new(topo);
-    let mut comps = Components::new();
-    comps.label(topo, &state, &[]);
-    let before = comps.connected_pairs(&pairs);
-    let mut drainable = 0usize;
-    for l in topo.link_ids() {
-        comps.label(topo, &state, &[l]);
-        if comps.connected_pairs(&pairs) >= before {
-            drainable += 1;
-        }
-    }
+    let mut cut = CutQuery::new();
+    let drainable = topo
+        .link_ids()
+        .filter(|&l| !cut.loses_pair(topo, &state, &[], l, &pairs))
+        .count();
     drainable as f64 / topo.link_count() as f64
 }
 

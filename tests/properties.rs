@@ -520,9 +520,10 @@ fn reference_plan(
     })
 }
 
-/// A random fabric (leaf-spine, or fat-tree k = 4 / 6) with random Down,
-/// Drained, Draining and Maintenance links, plus random server pairs
-/// (self-pairs included).
+/// A random fabric (leaf-spine, fat-tree k = 4 / 6 / 8, or the E1 shape:
+/// 4 spines, 16 leaves, 8 servers per leaf) with random Down, Drained,
+/// Draining and Maintenance links, plus random server pairs (self-pairs
+/// included).
 fn random_fabric(
     seed: u64,
     shape: usize,
@@ -546,7 +547,9 @@ fn random_fabric(
             &rng,
         ),
         1 => fat_tree(4, DiversityProfile::standardized(), &rng),
-        _ => fat_tree(6, DiversityProfile::standardized(), &rng),
+        2 => fat_tree(6, DiversityProfile::standardized(), &rng),
+        3 => fat_tree(8, DiversityProfile::standardized(), &rng),
+        _ => leaf_spine(4, 16, 8, 1, DiversityProfile::standardized(), &rng),
     };
     let mut state = NetState::new(&topo);
     for l in topo.link_ids() {
@@ -580,14 +583,14 @@ proptest! {
     #[test]
     fn labelled_connectivity_matches_per_pair_bfs(
         seed in 0u64..100_000,
-        shape in 0usize..3,
+        shape in 0usize..5,
         p_bad in 0.0f64..0.4,
     ) {
         use selfmaint::net::routing::{pair_connectivity, Components};
         let (topo, state, pairs) = random_fabric(seed, shape, p_bad);
         let bfs = pairs.iter().filter(|&&(a, b)| connected(&topo, &state, a, b)).count();
         let mut comps = Components::new();
-        comps.label(&topo, &state, &[]);
+        comps.label(&topo, &state);
         prop_assert_eq!(comps.connected_pairs(&pairs), bfs);
         prop_assert_eq!(
             pair_connectivity(&topo, &state, &pairs).to_bits(),
@@ -600,7 +603,7 @@ proptest! {
     #[test]
     fn drain_plan_matches_reference_planner(
         seed in 0u64..100_000,
-        shape in 0usize..3,
+        shape in 0usize..5,
         p_bad in 0.0f64..0.4,
         max_nb in 0usize..8,
     ) {
@@ -631,6 +634,62 @@ proptest! {
                     (a, b) => prop_assert!(false, "decisions differ: {:?} vs {:?}", a, b),
                 }
             }
+        }
+    }
+
+    /// `CutQuery::loses_pair` agrees with comparing connected-pair counts
+    /// of two labelled clones, one with `D` drained and one with `D + e`
+    /// drained. `D` holds 0-7 links, duplicates, unroutable links and `e`
+    /// itself included; pairs mix servers, switches, self-pairs and nodes
+    /// the damage leaves in third components. One query value answers
+    /// every trial of a case, so stale stamps would show.
+    #[test]
+    fn cut_query_matches_labelled_counts(
+        seed in 0u64..100_000,
+        shape in 0usize..5,
+        p_bad in 0.0f64..0.6,
+    ) {
+        use selfmaint::net::routing::{Components, CutQuery};
+        use selfmaint::net::{AdminState, LinkId, NodeId};
+        let (topo, state, mut pairs) = random_fabric(seed, shape, p_bad);
+        let mut draw = SimRng::root(seed).stream("prop-cut", 0);
+        let switches = topo.switches();
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        for _ in 0..draw.index(12) {
+            pairs.push((switches[draw.index(switches.len())], switches[draw.index(switches.len())]));
+            pairs.push((nodes[draw.index(nodes.len())], nodes[draw.index(nodes.len())]));
+        }
+        let count = |drained: &[LinkId], comps: &mut Components| {
+            let mut trial = state.clone();
+            for &l in drained {
+                trial.set_admin(l, AdminState::Drained);
+            }
+            comps.label(&topo, &trial);
+            comps.connected_pairs(&pairs)
+        };
+        let link = |draw: &mut selfmaint::des::Stream| LinkId::from_index(draw.index(topo.link_count()));
+        let mut cut = CutQuery::new();
+        let mut comps = Components::new();
+        for _ in 0..16 {
+            let mut drained: Vec<LinkId> = (0..draw.index(8)).map(|_| link(&mut draw)).collect();
+            if !drained.is_empty() && draw.chance(0.3) {
+                let again = drained[draw.index(drained.len())];
+                drained.push(again);
+            }
+            let e = if !drained.is_empty() && draw.chance(0.15) {
+                drained[draw.index(drained.len())]
+            } else {
+                link(&mut draw)
+            };
+            let before = count(&drained, &mut comps);
+            drained.push(e);
+            let after = count(&drained, &mut comps);
+            drained.pop();
+            prop_assert_eq!(
+                cut.loses_pair(&topo, &state, &drained, e, &pairs),
+                after < before,
+                "e = {:?}, D = {:?}", e, drained
+            );
         }
     }
 }
