@@ -141,6 +141,8 @@ pub struct Scheduler<E> {
     /// One FIFO per distinct delay given to `schedule_in_lane`, each in
     /// `(at, seq)` order.
     lanes: Vec<(SimDuration, VecDeque<Entry<E>>)>,
+    /// Entries in the heap and lanes together, tombstones included.
+    queued: usize,
     now: SimTime,
     seq: u64,
     canceled: BTreeSet<u64>,
@@ -165,6 +167,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             heap: BinaryHeap::new(),
             lanes: Vec::new(),
+            queued: 0,
             now: SimTime::ZERO,
             seq: 0,
             canceled: BTreeSet::new(),
@@ -208,7 +211,7 @@ impl<E> Scheduler<E> {
     /// Alias for [`Scheduler::pending`]: queue length including
     /// tombstones — what the heap and lanes physically hold.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(|(_, q)| q.len()).sum::<usize>()
+        self.queued
     }
 
     /// Number of events that will actually fire: the queue length minus
@@ -268,8 +271,9 @@ impl<E> Scheduler<E> {
                 None => self.lanes.push((delay, VecDeque::from([entry]))),
             },
         }
+        self.queued += 1;
         self.prof.scheduled += 1;
-        self.prof.max_pending = self.prof.max_pending.max(self.len() as u64);
+        self.prof.max_pending = self.prof.max_pending.max(self.queued as u64);
         EventKey(seq)
     }
 
@@ -331,6 +335,7 @@ impl<E> Scheduler<E> {
         for (_, q) in &mut self.lanes {
             q.retain(|e| !self.canceled.remove(&e.seq));
         }
+        self.queued = self.heap.len() + self.lanes.iter().map(|(_, q)| q.len()).sum::<usize>();
         // Whatever remains in `canceled` refers to already-fired keys —
         // not tombstones in the heap.
         self.tombstones = 0;
@@ -359,6 +364,7 @@ impl<E> Scheduler<E> {
     }
 
     fn take(&mut self, head: Head) -> Entry<E> {
+        self.queued -= 1;
         match head {
             Head::Heap => self.heap.pop(),
             Head::Lane(i) => self.lanes[i].1.pop_front(),
@@ -416,7 +422,9 @@ impl<E> Scheduler<E> {
     fn skip_canceled(&mut self) -> Option<(Head, SimTime)> {
         loop {
             let (h, at, seq) = self.head()?;
-            if !self.canceled.remove(&seq) {
+            // No tombstone anywhere while the set is empty: skip the
+            // lookup (a model that never cancels never pays for it).
+            if self.canceled.is_empty() || !self.canceled.remove(&seq) {
                 return Some((h, at));
             }
             self.take(h);
@@ -489,6 +497,7 @@ impl<E> Scheduler<E> {
             .iter()
             .filter(|(_, s, _)| canceled.contains(s))
             .count();
+        let queued = entries.len();
         let heap = BinaryHeap::from(
             entries
                 .into_iter()
@@ -498,6 +507,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             heap,
             lanes: Vec::new(),
+            queued,
             now,
             seq,
             canceled,

@@ -6,6 +6,13 @@
 //! runs while lanes hold entries), pops, peeks and export → restore
 //! round trips must give identical pops, peeks, exports, keys, counters
 //! and lengths after every call.
+//!
+//! The scheduler keeps a running count of queued entries (heap and lanes,
+//! tombstones included) and skips the tombstone lookup while nothing is
+//! canceled. So after every call the count must equal what the export
+//! holds, and the profile counters must equal a model kept here from the
+//! calls alone; and both the cancel-free and the tombstoned pop path are
+//! driven against the heap-only reference.
 
 use dcmaint_des::{EventKey, Scheduler, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -74,6 +81,45 @@ fn export(s: &Scheduler<u64>) -> Exported {
     )
 }
 
+/// The profile counters as this test counts them from the calls it makes:
+/// the depth high-water mark is the longest export seen after a call.
+#[derive(Default)]
+struct Model {
+    scheduled: u64,
+    dropped_horizon: u64,
+    canceled: u64,
+    max_pending: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, s: &Scheduler<u64>, at: SimTime) {
+        if at.max(s.now()) > s.horizon() {
+            self.dropped_horizon += 1;
+        } else {
+            self.scheduled += 1;
+        }
+    }
+
+    fn check(&mut self, s: &Scheduler<u64>, step: usize) -> Result<(), TestCaseError> {
+        let queued = s.export_entries().len();
+        prop_assert_eq!(s.len(), queued, "queued count drifts after step {}", step);
+        self.max_pending = self.max_pending.max(queued as u64);
+        let p = s.prof();
+        prop_assert_eq!(
+            (p.scheduled, p.dropped_horizon, p.canceled, p.max_pending),
+            (
+                self.scheduled,
+                self.dropped_horizon,
+                self.canceled,
+                self.max_pending
+            ),
+            "counters differ from the model after step {}",
+            step
+        );
+        Ok(())
+    }
+}
+
 fn same_state(a: &Scheduler<u64>, b: &Scheduler<u64>, step: usize) -> Result<(), TestCaseError> {
     prop_assert_eq!(export(a), export(b), "exports differ after step {}", step);
     prop_assert_eq!(a.next_seq(), b.next_seq());
@@ -108,23 +154,27 @@ proptest! {
             (Scheduler::new(), Scheduler::new())
         };
         let mut keys: Vec<EventKey> = Vec::new();
+        let mut model = Model::default();
         for (step, &raw) in ops.iter().enumerate() {
             let payload = step as u64;
             match decode(raw, cancel_pct, delays) {
                 Op::At(t) => {
                     let at = SimTime::from_micros(t);
+                    model.schedule(&lanes, at);
                     let k = lanes.schedule(at, payload);
                     prop_assert_eq!(k, heap.schedule(at, payload));
                     keys.push(k);
                 }
                 Op::In(d) => {
                     let d = SimDuration::from_micros(d);
+                    model.schedule(&lanes, lanes.now() + d);
                     let k = lanes.schedule_in(d, payload);
                     prop_assert_eq!(k, heap.schedule_in(d, payload));
                     keys.push(k);
                 }
                 Op::Lane(i) => {
                     let d = lane_delays[i];
+                    model.schedule(&lanes, lanes.now() + d);
                     let k = lanes.schedule_in_lane(d, payload);
                     prop_assert_eq!(k, heap.schedule_in(d, payload));
                     keys.push(k);
@@ -132,7 +182,9 @@ proptest! {
                 Op::Cancel(n) => {
                     if !keys.is_empty() {
                         let k = keys[n % keys.len()];
-                        prop_assert_eq!(lanes.cancel(k), heap.cancel(k));
+                        let fresh = lanes.cancel(k);
+                        prop_assert_eq!(fresh, heap.cancel(k));
+                        model.canceled += u64::from(fresh);
                     }
                 }
                 Op::Pop => {
@@ -153,6 +205,7 @@ proptest! {
                 }
             }
             same_state(&lanes, &heap, step)?;
+            model.check(&lanes, step)?;
         }
         // Drain both to the end.
         loop {
@@ -164,6 +217,82 @@ proptest! {
             }
         }
         same_state(&lanes, &heap, ops.len())?;
+        model.check(&lanes, ops.len())?;
         prop_assert_eq!(lanes.now(), heap.now());
     }
+}
+
+/// Schedule the same event on both sides, lane against heap.
+fn both_lane(lanes: &mut Scheduler<u64>, heap: &mut Scheduler<u64>, d: u64, p: u64) -> EventKey {
+    let d = SimDuration::from_micros(d);
+    let k = lanes.schedule_in_lane(d, p);
+    assert_eq!(k, heap.schedule_in(d, p));
+    k
+}
+
+fn pop_both(lanes: &mut Scheduler<u64>, heap: &mut Scheduler<u64>) -> Option<u64> {
+    let a = lanes.pop().map(|f| (f.at, f.key, f.payload));
+    assert_eq!(a, heap.pop().map(|f| (f.at, f.key, f.payload)));
+    assert_eq!(lanes.len(), lanes.export_entries().len());
+    a.map(|(_, _, p)| p)
+}
+
+#[test]
+fn pops_agree_with_and_without_tombstones() {
+    let (mut lanes, mut heap) = (Scheduler::new(), Scheduler::new());
+    // Nothing ever canceled: every pop takes the lookup-free path.
+    for p in 0..40 {
+        both_lane(&mut lanes, &mut heap, 15 * (p % 3 + 1), p);
+        heap.schedule_in(SimDuration::from_micros(7 * p), 100 + p);
+        lanes.schedule_in(SimDuration::from_micros(7 * p), 100 + p);
+    }
+    for _ in 0..30 {
+        pop_both(&mut lanes, &mut heap).expect("queued");
+    }
+    assert!(lanes.export_canceled().is_empty());
+    assert_eq!(lanes.prof().canceled, 0);
+
+    // Outstanding tombstones in both the heap and a lane: pops skip them.
+    let mut doomed = Vec::new();
+    for p in 200..220 {
+        let k = both_lane(&mut lanes, &mut heap, 15, p);
+        if p % 2 == 0 {
+            doomed.push((k, p));
+        }
+        let at = lanes.now() + SimDuration::from_micros(p % 9);
+        let k = lanes.schedule(at, p + 1_000);
+        assert_eq!(k, heap.schedule(at, p + 1_000));
+        if p % 3 == 0 {
+            doomed.push((k, p + 1_000));
+        }
+    }
+    for &(k, _) in &doomed {
+        assert!(lanes.cancel(k));
+        assert!(heap.cancel(k));
+    }
+    assert!(lanes.live_len() < lanes.len(), "tombstones outstanding");
+    let mut fired = Vec::new();
+    while let Some(p) = pop_both(&mut lanes, &mut heap) {
+        fired.push(p);
+    }
+    assert!(doomed.iter().all(|(_, p)| !fired.contains(p)));
+    assert_eq!(lanes.live_len(), 0);
+
+    // A key canceled after it fired stays recorded with no tombstone
+    // queued: later pops take the lookup path and still agree.
+    let k = both_lane(&mut lanes, &mut heap, 15, 300);
+    assert_eq!(pop_both(&mut lanes, &mut heap), Some(300));
+    assert!(lanes.cancel(k));
+    assert!(heap.cancel(k));
+    assert_eq!(lanes.export_canceled().len(), 1);
+    assert_eq!(lanes.live_len(), lanes.len(), "no tombstone queued");
+    for p in 301..320 {
+        both_lane(&mut lanes, &mut heap, 15 * (p % 2 + 1), p);
+    }
+    let mut n = 0;
+    while pop_both(&mut lanes, &mut heap).is_some() {
+        n += 1;
+    }
+    assert_eq!(n, 19);
+    assert_eq!(lanes.prof(), heap.prof());
 }

@@ -95,6 +95,7 @@ impl Journal {
 
     /// Set the simulated clock stamped onto subsequent emits. The
     /// engine calls this once per event dispatch.
+    #[inline]
     pub fn set_now(&self, now: SimTime) {
         if let Some(inner) = &self.inner {
             inner.borrow_mut().now = now;

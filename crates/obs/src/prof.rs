@@ -77,17 +77,20 @@ impl Prof {
     /// Whether this profiler records. Deterministic-count hooks check
     /// this before touching the registry so a disabled profiler leaves
     /// zero `prof/…` entries.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Open a span: reads the clock iff profiling is on. Pass the
     /// result to [`Prof::record`] after the measured section.
+    #[inline]
     pub fn start(&self) -> Option<Instant> {
         self.wall.start()
     }
 
     /// Close a span under `subsystem`. No-op when `started` is `None`.
+    #[inline]
     pub fn record(&mut self, subsystem: &'static str, started: Option<Instant>) {
         self.wall.record(subsystem, started);
     }

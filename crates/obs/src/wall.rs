@@ -33,12 +33,14 @@ impl WallProfile {
     }
 
     /// Whether this profile records.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Read the clock iff profiling is on. Pass the result to
     /// [`WallProfile::record`] after the measured section.
+    #[inline]
     pub fn start(&self) -> Option<Instant> {
         if self.enabled {
             Some(Instant::now())
@@ -49,10 +51,17 @@ impl WallProfile {
 
     /// Accumulate the elapsed time since `started` under `kind`.
     /// No-op when `started` is `None` (profiling off).
+    #[inline]
     pub fn record(&mut self, kind: &'static str, started: Option<Instant>) {
-        let Some(t0) = started else {
-            return;
-        };
+        if let Some(t0) = started {
+            self.record_since(kind, t0);
+        }
+    }
+
+    /// The enabled half of [`WallProfile::record`], kept out of line so
+    /// the disabled path inlines to one test.
+    #[inline(never)]
+    fn record_since(&mut self, kind: &'static str, t0: Instant) {
         let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         for e in &mut self.entries {
             if e.0 == kind {

@@ -45,7 +45,7 @@ use dcmaint_obs::{JVal, Journal, ObsRegistry, ObsReport, Prof, TraceStore, WallP
 use dcmaint_robotics::{
     afflict, run_clean, run_replace, run_reseat, OpOutcome, ReplaceKind, RobotFleet, UnitHealth,
 };
-use dcmaint_telemetry::{extract, AlertKind, TelemetryPlane, FEATURE_DIM};
+use dcmaint_telemetry::{AlertKind, TelemetryPlane, FEATURE_DIM};
 use dcmaint_tickets::{
     AttemptRecord, Priority, TechnicianPool, TicketBoard, TicketId, TicketState, TicketTrigger,
 };
@@ -608,41 +608,34 @@ impl Engine {
     /// kind. `None` once the queue is drained — the scheduler clamps its
     /// clock to the horizon on that final pop.
     pub fn step_event(&mut self) -> Option<(SimTime, &'static str)> {
-        // Twin-guided planning hook: must run *before* the scheduler is
-        // temporarily taken, because planning forks the whole engine
-        // (which serializes `self.sched`). Peek → plan → pop is atomic
-        // within this one call.
+        // Twin-guided planning hook: runs *before* the pop, because
+        // planning forks the whole engine (which serializes
+        // `self.sched`). Peek → plan → pop is atomic within this one call.
         self.maybe_plan_dispatch();
-        // Temporarily take the queue so handlers can schedule into it
-        // while borrowing the rest of the engine mutably.
-        let mut sched = std::mem::replace(&mut self.sched, Scheduler::with_horizon(SimTime::ZERO));
         // Self-profiler: the pop (tombstone skipping included) is the
         // scheduler's own share of the loop. Every prof call below is a
         // no-op returning `None` when profiling is off.
         let t_pop = self.prof.start();
-        let popped = sched.pop();
+        let popped = self.sched.pop();
         self.prof.record("sched", t_pop);
-        let out = if let Some(Fired { at, payload, .. }) = popped {
-            // Stamp the journal clock once per dispatch; emitters never
-            // thread `now` through their signatures.
-            self.journal.set_now(at);
-            let kind = payload.kind_name();
-            let (sub, ev_key, sub_key) = payload.prof_attribution();
-            if self.prof.is_enabled() {
-                self.registry.inc(ev_key);
-                self.registry.inc(sub_key);
-            }
-            let t_sub = self.prof.start();
-            let t0 = self.wall.start();
-            self.handle(payload, at, &mut sched);
-            self.wall.record(kind, t0);
-            self.prof.record(sub, t_sub);
-            Some((at, kind))
-        } else {
-            None
-        };
-        self.sched = sched;
-        out
+        let Fired { at, payload, .. } = popped?;
+        // Stamp the journal clock once per dispatch; emitters never
+        // thread `now` through their signatures.
+        self.journal.set_now(at);
+        let kind = payload.kind_name();
+        let (sub, ev_key, sub_key) = payload.prof_attribution();
+        if self.prof.is_enabled() {
+            self.registry.inc(ev_key);
+            self.registry.inc(sub_key);
+        }
+        let t_sub = self.prof.start();
+        let t0 = self.wall.start();
+        // Handlers schedule straight into `self.sched`; none of them
+        // reads the queue while handling.
+        self.handle(payload, at);
+        self.wall.record(kind, t0);
+        self.prof.record(sub, t_sub);
+        Some((at, kind))
     }
 
     /// Advance until the scheduler clock reaches `t`: dispatch every
@@ -860,25 +853,25 @@ impl Engine {
 
     // ----- event dispatch -------------------------------------------
 
-    fn handle(&mut self, ev: Ev, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn handle(&mut self, ev: Ev, now: SimTime) {
         match ev {
-            Ev::Fault => self.on_fault(now, sched),
+            Ev::Fault => self.on_fault(now),
             Ev::SelfHeal { link, epoch } => self.on_self_heal(link, epoch, now),
-            Ev::Flap { link, epoch } => self.on_flap(link, epoch, now, sched),
-            Ev::LatentManifest { link, cause } => self.on_latent(link, cause, now, sched),
+            Ev::Flap { link, epoch } => self.on_flap(link, epoch, now),
+            Ev::LatentManifest { link, cause } => self.on_latent(link, cause, now),
             Ev::BurstEnd { link, epoch } => self.on_burst_end(link, epoch, now),
-            Ev::Poll => self.on_poll(now, sched),
-            Ev::Dispatch { ticket } => self.on_dispatch(ticket, now, sched),
-            Ev::RepairStart { ticket } => self.on_repair_start(ticket, now, sched),
-            Ev::RepairDone { ticket } => self.on_repair_done(ticket, now, sched),
-            Ev::VerifyDone { ticket } => self.on_verify_done(ticket, now, sched),
-            Ev::ProactiveScan => self.on_proactive_scan(now, sched),
-            Ev::ProactiveOpen { link } => self.on_proactive_open(link, now, sched),
-            Ev::PredictiveScan => self.on_predictive_scan(now, sched),
-            Ev::AutonomicTick => self.on_autonomic_tick(now, sched),
+            Ev::Poll => self.on_poll(now),
+            Ev::Dispatch { ticket } => self.on_dispatch(ticket, now),
+            Ev::RepairStart { ticket } => self.on_repair_start(ticket, now),
+            Ev::RepairDone { ticket } => self.on_repair_done(ticket, now),
+            Ev::VerifyDone { ticket } => self.on_verify_done(ticket, now),
+            Ev::ProactiveScan => self.on_proactive_scan(now),
+            Ev::ProactiveOpen { link } => self.on_proactive_open(link, now),
+            Ev::PredictiveScan => self.on_predictive_scan(now),
+            Ev::AutonomicTick => self.on_autonomic_tick(now),
             Ev::Scripted { link, cause } => {
                 if self.links_rt[link.index()].incident.is_none() {
-                    self.start_incident(link, cause, false, now, sched);
+                    self.start_incident(link, cause, false, now);
                 }
             }
             Ev::PredictiveLabel {
@@ -888,9 +881,9 @@ impl Engine {
                 incidents_before,
             } => self.on_predictive_label(link, features, flagged, incidents_before),
             Ev::OpStalled { ticket, attempt } => self.on_op_stalled(ticket, attempt, now),
-            Ev::OpAborted { ticket, attempt } => self.on_op_aborted(ticket, attempt, now, sched),
-            Ev::WatchdogFired { ticket, attempt } => self.on_watchdog(ticket, attempt, now, sched),
-            Ev::RobotRecovered { unit } => self.on_robot_recovered(unit, now, sched),
+            Ev::OpAborted { ticket, attempt } => self.on_op_aborted(ticket, attempt, now),
+            Ev::WatchdogFired { ticket, attempt } => self.on_watchdog(ticket, attempt, now),
+            Ev::RobotRecovered { unit } => self.on_robot_recovered(unit, now),
         }
     }
 
@@ -962,7 +955,7 @@ impl Engine {
         (1.0 + self.cfg.wear_growth * days / 90.0).min(4.0)
     }
 
-    fn on_fault(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_fault(&mut self, now: SimTime) {
         // Schedule the next arrival first (Poisson chain). The rate is
         // the *sum* of per-link wear-adjusted hazards, so maintenance
         // that resets wear genuinely lowers the fabric incident rate —
@@ -978,7 +971,7 @@ impl Engine {
             .collect();
         let hazard_sum: f64 = weights.iter().sum();
         let delay = self.injector.arrival_delay(hazard_sum, stress);
-        sched.schedule_in(delay, Ev::Fault);
+        self.sched.schedule_in(delay, Ev::Fault);
         let mut target = self.hazard.weighted_index(&weights);
         if self.cfg.nondet_demo && weights.len() >= 2 {
             // Deliberate nondeterminism for the `selfmaint bisect` demo:
@@ -1015,20 +1008,14 @@ impl Engine {
             self.links_rt[l.index()].pending_is_cascade = false;
             self.recompute_link(l, now);
             let delay = self.injector.latent_manifest_delay();
-            sched.schedule_in(delay, Ev::LatentManifest { link: l, cause });
+            self.sched
+                .schedule_in(delay, Ev::LatentManifest { link: l, cause });
         } else {
-            self.start_incident(l, cause, false, now, sched);
+            self.start_incident(l, cause, false, now);
         }
     }
 
-    fn start_incident(
-        &mut self,
-        l: LinkId,
-        cause: RootCause,
-        from_cascade: bool,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    fn start_incident(&mut self, l: LinkId, cause: RootCause, from_cascade: bool, now: SimTime) {
         let incident = self.injector.seeded_incident(l, cause);
         if self.prof.is_enabled() {
             self.registry.inc("prof/faults/incident");
@@ -1060,10 +1047,11 @@ impl Engine {
             let flap = FlapProcess::with_severity(severity);
             let hold = flap.hold_time(&mut self.ops);
             rt.flap = Some(flap);
-            sched.schedule_in(hold, Ev::Flap { link: l, epoch });
+            self.sched.schedule_in(hold, Ev::Flap { link: l, epoch });
         }
         if let Some(heal) = incident.self_heal_after {
-            sched.schedule_in(heal, Ev::SelfHeal { link: l, epoch });
+            self.sched
+                .schedule_in(heal, Ev::SelfHeal { link: l, epoch });
         }
         self.recompute_link(l, now);
     }
@@ -1083,7 +1071,7 @@ impl Engine {
         self.clear_incident(l, now);
     }
 
-    fn on_flap(&mut self, l: LinkId, epoch: u64, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_flap(&mut self, l: LinkId, epoch: u64, now: SimTime) {
         if self.links_rt[l.index()].epoch != epoch {
             return;
         }
@@ -1091,12 +1079,12 @@ impl Engine {
             return;
         };
         let hold = flap.transition(&mut self.ops);
-        sched.schedule_in(hold, Ev::Flap { link: l, epoch });
+        self.sched.schedule_in(hold, Ev::Flap { link: l, epoch });
         self.telemetry.on_transition(l, now);
         self.recompute_link(l, now);
     }
 
-    fn on_latent(&mut self, l: LinkId, cause: RootCause, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_latent(&mut self, l: LinkId, cause: RootCause, now: SimTime) {
         // Only manifest if the latent is still pending (maintenance may
         // have cleared it) and the link isn't already broken.
         if self.links_rt[l.index()].pending_latent != Some(cause) {
@@ -1108,7 +1096,7 @@ impl Engine {
             self.recompute_link(l, now);
             return;
         }
-        self.start_incident(l, cause, from_cascade, now, sched);
+        self.start_incident(l, cause, from_cascade, now);
     }
 
     fn on_burst_end(&mut self, l: LinkId, epoch: u64, now: SimTime) {
@@ -1121,8 +1109,8 @@ impl Engine {
 
     // ----- telemetry → tickets --------------------------------------
 
-    fn on_poll(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        sched.schedule_in_lane(self.cfg.poll_period, Ev::Poll);
+    fn on_poll(&mut self, now: SimTime) {
+        self.sched.schedule_in_lane(self.cfg.poll_period, Ev::Poll);
         // Telemetry dropout: the whole poll cycle is lost — counters
         // don't advance and no alerts fire until the next cycle. (Zero
         // draws when the fault model is disabled.)
@@ -1145,7 +1133,7 @@ impl Engine {
                 AlertKind::GrayLoss => TicketTrigger::GrayLoss,
             };
             let priority = Priority::from_trigger(trigger, alert.severity);
-            self.open_ticket(alert.link, trigger, priority, now, sched);
+            self.open_ticket(alert.link, trigger, priority, now);
         }
     }
 
@@ -1155,7 +1143,6 @@ impl Engine {
         trigger: TicketTrigger,
         priority: Priority,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
     ) -> Option<TicketId> {
         let (id, fresh) = self.board.open(link, trigger, priority, now);
         if !fresh {
@@ -1190,7 +1177,7 @@ impl Engine {
         if trigger.is_reactive() {
             self.telemetry.on_incident(link);
         }
-        sched.schedule_now(Ev::Dispatch { ticket: id });
+        self.sched.schedule_now(Ev::Dispatch { ticket: id });
         Some(id)
     }
 
@@ -1221,7 +1208,7 @@ impl Engine {
         }
     }
 
-    fn on_dispatch(&mut self, ticket: TicketId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_dispatch(&mut self, ticket: TicketId, now: SimTime) {
         if self.board.get(ticket).is_closed() || self.active.contains_key(&ticket) {
             return;
         }
@@ -1237,7 +1224,7 @@ impl Engine {
                 self.trough_deferred.insert(ticket);
                 self.traces.event(ticket.0, now, "await-trough");
                 self.registry.inc("defer/twin");
-                sched.schedule(t, Ev::Dispatch { ticket });
+                self.sched.schedule(t, Ev::Dispatch { ticket });
                 return;
             }
         }
@@ -1272,7 +1259,7 @@ impl Engine {
             self.trough_deferred.insert(ticket);
             self.traces.event(ticket.0, now, "await-trough");
             self.registry.inc("defer/trough");
-            sched.schedule_in(delay, Ev::Dispatch { ticket });
+            self.sched.schedule_in(delay, Ev::Dispatch { ticket });
             return;
         }
         if self.prof.is_enabled() {
@@ -1331,7 +1318,7 @@ impl Engine {
             // A1 ablation: no cross-layer coordination — book the actor
             // and touch the hardware hot, with no drain and no
             // pre-contact announcement.
-            self.dispatch_without_drain(ticket, link, action, executor, now, sched);
+            self.dispatch_without_drain(ticket, link, action, executor, now);
             return;
         }
         let plan = maintctl::drain::plan(
@@ -1364,7 +1351,7 @@ impl Engine {
                         attempt,
                         &mut self.recovery_rng,
                     );
-                    sched.schedule_in(delay, Ev::Dispatch { ticket });
+                    self.sched.schedule_in(delay, Ev::Dispatch { ticket });
                     return;
                 }
                 PreContactAnnouncement {
@@ -1376,15 +1363,7 @@ impl Engine {
             }
             DrainDecision::Proceed(ann) => ann,
         };
-        self.book_executor(
-            ticket,
-            link,
-            action,
-            executor,
-            Some(announcement),
-            now,
-            sched,
-        );
+        self.book_executor(ticket, link, action, executor, Some(announcement), now);
     }
 
     /// A1-ablation path: no drain planning, no announcement.
@@ -1395,9 +1374,8 @@ impl Engine {
         action: RepairAction,
         executor: Executor,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
     ) {
-        self.book_executor(ticket, link, action, executor, None, now, sched);
+        self.book_executor(ticket, link, action, executor, None, now);
     }
 
     /// Book the chosen executor and schedule the hands-on window.
@@ -1410,7 +1388,6 @@ impl Engine {
         executor: Executor,
         announcement: Option<PreContactAnnouncement>,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
     ) {
         if self.prof.is_enabled() {
             self.registry.inc("prof/robotics/booking");
@@ -1670,11 +1647,12 @@ impl Engine {
             },
         );
         self.board.set_state(ticket, TicketState::Dispatched);
-        sched.schedule(start, Ev::RepairStart { ticket });
+        self.sched.schedule(start, Ev::RepairStart { ticket });
         match outcome {
             OpOutcome::Stalled => {
                 self.op_stalls += 1;
-                sched.schedule(start + hands_on, Ev::OpStalled { ticket, attempt });
+                self.sched
+                    .schedule(start + hands_on, Ev::OpStalled { ticket, attempt });
             }
             OpOutcome::AbortedSafe | OpOutcome::AbortedUnsafe => {
                 if outcome == OpOutcome::AbortedSafe {
@@ -1682,11 +1660,13 @@ impl Engine {
                 } else {
                     self.op_aborts_unsafe += 1;
                 }
-                sched.schedule(start + hands_on, Ev::OpAborted { ticket, attempt });
+                self.sched
+                    .schedule(start + hands_on, Ev::OpAborted { ticket, attempt });
             }
             OpOutcome::Completed | OpOutcome::Escalated => {
                 if !lost {
-                    sched.schedule(start + hands_on, Ev::RepairDone { ticket });
+                    self.sched
+                        .schedule(start + hands_on, Ev::RepairDone { ticket });
                 }
             }
         }
@@ -1696,7 +1676,8 @@ impl Engine {
         if robot_unit.is_some() && self.cfg.robot_faults.enabled && self.cfg.recovery.enabled {
             let wd = self.cfg.recovery.watchdog.deadline(&planned).max(hands_on)
                 + self.cfg.recovery.watchdog.min_slack;
-            sched.schedule(start + wd, Ev::WatchdogFired { ticket, attempt });
+            self.sched
+                .schedule(start + wd, Ev::WatchdogFired { ticket, attempt });
         }
     }
 
@@ -1708,7 +1689,7 @@ impl Engine {
         }
     }
 
-    fn on_repair_start(&mut self, ticket: TicketId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_repair_start(&mut self, ticket: TicketId, now: SimTime) {
         let Some(repair) = self.active.get(&ticket) else {
             return;
         };
@@ -1777,20 +1758,22 @@ impl Engine {
                     let epoch = self.bump_epoch(nb);
                     self.links_rt[nb.index()].burst_loss = Some(loss);
                     self.recompute_link(nb, now);
-                    sched.schedule_in(duration, Ev::BurstEnd { link: nb, epoch });
+                    self.sched
+                        .schedule_in(duration, Ev::BurstEnd { link: nb, epoch });
                 }
                 DisturbanceEffect::LatentFault { link: nb, cause } => {
                     self.links_rt[nb.index()].pending_latent = Some(cause);
                     self.links_rt[nb.index()].pending_is_cascade = true;
                     self.recompute_link(nb, now);
                     let delay = self.injector.latent_manifest_delay();
-                    sched.schedule_in(delay, Ev::LatentManifest { link: nb, cause });
+                    self.sched
+                        .schedule_in(delay, Ev::LatentManifest { link: nb, cause });
                 }
             }
         }
     }
 
-    fn on_repair_done(&mut self, ticket: TicketId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_repair_done(&mut self, ticket: TicketId, now: SimTime) {
         let Some(repair) = self.active.remove(&ticket) else {
             return;
         };
@@ -1880,8 +1863,8 @@ impl Engine {
                     obs_residue: "manual-work",
                 },
             );
-            sched.schedule(start, Ev::RepairStart { ticket });
-            sched.schedule(start + dur, Ev::RepairDone { ticket });
+            self.sched.schedule(start, Ev::RepairStart { ticket });
+            self.sched.schedule(start + dur, Ev::RepairDone { ticket });
             return;
         }
         // Resolve the repair outcome.
@@ -1979,13 +1962,13 @@ impl Engine {
         // Drop any cleared precursor loss from the link's visible state.
         self.recompute_link(link, now);
         self.traces.event(ticket.0, now, "verify");
-        sched.schedule_in(
+        self.sched.schedule_in(
             self.controller.config().verify_soak,
             Ev::VerifyDone { ticket },
         );
     }
 
-    fn on_verify_done(&mut self, ticket: TicketId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_verify_done(&mut self, ticket: TicketId, now: SimTime) {
         if self.board.get(ticket).is_closed() {
             return;
         }
@@ -1998,7 +1981,7 @@ impl Engine {
             self.twin_plans.remove(&ticket);
             self.twin_planned.remove(&ticket);
             self.traces.event_note(ticket.0, now, "triage", "reopen");
-            sched.schedule_now(Ev::Dispatch { ticket });
+            self.sched.schedule_now(Ev::Dispatch { ticket });
             return;
         }
         // Healthy: close. Spurious iff nothing we did ever fixed it and
@@ -2132,13 +2115,7 @@ impl Engine {
         }
     }
 
-    fn on_op_aborted(
-        &mut self,
-        ticket: TicketId,
-        attempt: u64,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    fn on_op_aborted(&mut self, ticket: TicketId, attempt: u64, now: SimTime) {
         match self.active.get(&ticket) {
             Some(r) if r.attempt == attempt => {}
             _ => return,
@@ -2159,16 +2136,10 @@ impl Engine {
             self.force_link_down(repair.link, now);
             self.forced_human.insert(ticket);
         }
-        self.recover(ticket, &repair, now, sched);
+        self.recover(ticket, &repair, now);
     }
 
-    fn on_watchdog(
-        &mut self,
-        ticket: TicketId,
-        attempt: u64,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    fn on_watchdog(&mut self, ticket: TicketId, attempt: u64, now: SimTime) {
         match self.active.get(&ticket) {
             Some(r) if r.attempt == attempt => {}
             _ => return, // completed/aborted/superseded — timer disarmed
@@ -2191,7 +2162,7 @@ impl Engine {
                 if let Some(r) = self.active.get_mut(&ticket) {
                     r.lost = false;
                 }
-                sched.schedule_now(Ev::RepairDone { ticket });
+                self.sched.schedule_now(Ev::RepairDone { ticket });
             }
             Some(OpOutcome::Stalled) => {
                 // Declare the operation dead: free the worksite, send
@@ -2206,10 +2177,11 @@ impl Engine {
                 self.release_worksite(&repair, now);
                 if let Some(unit) = repair.robot_unit {
                     let repair_for = self.fleet.mark_down(unit, now);
-                    sched.schedule_in(repair_for, Ev::RobotRecovered { unit });
+                    self.sched
+                        .schedule_in(repair_for, Ev::RobotRecovered { unit });
                 }
                 self.record_failed_attempt(ticket, &repair, now);
-                self.recover(ticket, &repair, now, sched);
+                self.recover(ticket, &repair, now);
             }
             _ => {}
         }
@@ -2220,13 +2192,7 @@ impl Engine {
     /// hand the ticket to a human → park it until the fleet recovers.
     /// With recovery disabled (the E14 ablation) failed work is simply
     /// abandoned: the ticket stays open and the link stays broken.
-    fn recover(
-        &mut self,
-        ticket: TicketId,
-        repair: &ActiveRepair,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    fn recover(&mut self, ticket: TicketId, repair: &ActiveRepair, now: SimTime) {
         if !self.cfg.recovery.enabled || self.board.get(ticket).is_closed() {
             return;
         }
@@ -2266,7 +2232,7 @@ impl Engine {
                     .recovery
                     .backoff
                     .delay(backoff_attempt, &mut self.recovery_rng);
-                sched.schedule_in(delay, Ev::Dispatch { ticket });
+                self.sched.schedule_in(delay, Ev::Dispatch { ticket });
             }
             RecoveryStep::ReassignOtherUnit => {
                 self.recovery_state
@@ -2284,7 +2250,7 @@ impl Engine {
                     .recovery
                     .backoff
                     .delay(backoff_attempt, &mut self.recovery_rng);
-                sched.schedule_in(delay, Ev::Dispatch { ticket });
+                self.sched.schedule_in(delay, Ev::Dispatch { ticket });
             }
             RecoveryStep::HumanTicket => {
                 // Graceful degradation: the L0 world still works.
@@ -2293,7 +2259,7 @@ impl Engine {
                 self.registry.inc("recovery/human");
                 self.traces
                     .event_note(ticket.0, now, "triage", "human-ticket");
-                sched.schedule_now(Ev::Dispatch { ticket });
+                self.sched.schedule_now(Ev::Dispatch { ticket });
             }
             RecoveryStep::QueueUntilFleetRecovers => {
                 self.recovery_queued += 1;
@@ -2305,19 +2271,20 @@ impl Engine {
         }
     }
 
-    fn on_robot_recovered(&mut self, unit: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_robot_recovered(&mut self, unit: usize, now: SimTime) {
         self.fleet.mark_repaired(unit, now);
         self.robot_recoveries += 1;
         // Capacity is back: drain the parked tickets.
         for ticket in std::mem::take(&mut self.recovery_queue) {
-            sched.schedule_now(Ev::Dispatch { ticket });
+            self.sched.schedule_now(Ev::Dispatch { ticket });
         }
     }
 
     // ----- proactive & predictive loops ------------------------------
 
-    fn on_proactive_scan(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        sched.schedule_in(SimDuration::from_hours(1), Ev::ProactiveScan);
+    fn on_proactive_scan(&mut self, now: SimTime) {
+        self.sched
+            .schedule_in(SimDuration::from_hours(1), Ev::ProactiveScan);
         let util = diurnal_utilization(now);
         let Some(planner) = self.controller.proactive_mut() else {
             return;
@@ -2332,7 +2299,7 @@ impl Engine {
             // 15 minutes keeps at most one campaign touch per switch in
             // flight.
             for (i, link) in c.links.into_iter().enumerate() {
-                sched.schedule_in(
+                self.sched.schedule_in(
                     SimDuration::from_mins(15) * i as u64,
                     Ev::ProactiveOpen { link },
                 );
@@ -2340,22 +2307,21 @@ impl Engine {
         }
     }
 
-    fn on_proactive_open(&mut self, link: LinkId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_proactive_open(&mut self, link: LinkId, now: SimTime) {
         if self.board.open_on(link).is_some() || self.links_rt[link.index()].incident.is_some() {
             return;
         }
         self.campaign_links += 1;
-        if let Some(id) = self.open_ticket(link, TicketTrigger::Proactive, Priority::P2, now, sched)
-        {
+        if let Some(id) = self.open_ticket(link, TicketTrigger::Proactive, Priority::P2, now) {
             self.forced_action.insert(id, RepairAction::Reseat);
         }
     }
 
-    fn on_predictive_scan(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_predictive_scan(&mut self, now: SimTime) {
         let Some(pc) = self.controller.predictive_config().cloned() else {
             return;
         };
-        sched.schedule_in(pc.scan_period, Ev::PredictiveScan);
+        self.sched.schedule_in(pc.scan_period, Ev::PredictiveScan);
         let horizon = pc.label_horizon;
         // Score every link first; flag only the top few above threshold.
         // An uncapped flagger degenerates into cleaning the whole fabric
@@ -2363,10 +2329,7 @@ impl Engine {
         // training labels (every flagged link is intervened on).
         let mut scored: Vec<(LinkId, f64, [f64; FEATURE_DIM], u64)> = Vec::new();
         for l in self.topo.link_ids() {
-            let features = {
-                let counters = self.telemetry.counters(l);
-                extract(&self.topo, l, counters, now)
-            };
+            let features = self.telemetry.features(&self.topo, l, now);
             let Some(pred) = self.controller.predictor() else {
                 return;
             };
@@ -2403,14 +2366,12 @@ impl Engine {
             } else {
                 RepairAction::Reseat
             };
-            if let Some(id) =
-                self.open_ticket(l, TicketTrigger::Predictive, Priority::P2, now, sched)
-            {
+            if let Some(id) = self.open_ticket(l, TicketTrigger::Predictive, Priority::P2, now) {
                 self.forced_action.insert(id, action);
             }
         }
         for (l, _, features, incidents_before) in scored {
-            sched.schedule_in_lane(
+            self.sched.schedule_in_lane(
                 horizon,
                 Ev::PredictiveLabel {
                     link: l,
@@ -2442,12 +2403,12 @@ impl Engine {
 
     // ----- autonomic MAPE-K loop (DESIGN §3.16) -----------------------
 
-    fn on_autonomic_tick(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn on_autonomic_tick(&mut self, now: SimTime) {
         let Some(ac) = &self.cfg.autonomic else {
             return;
         };
         let tick_period = ac.tick_period;
-        sched.schedule_in(tick_period, Ev::AutonomicTick);
+        self.sched.schedule_in(tick_period, Ev::AutonomicTick);
         let robots_busy = self
             .active
             .values()

@@ -11,6 +11,32 @@ use std::collections::VecDeque;
 
 use dcmaint_des::{SimDuration, SimTime};
 
+/// `c * x`, bit for bit as the hardware multiply rounds it, but without
+/// handing the FPU a subnormal when `c` is in [0.5, 1): a zero-loss decay
+/// drives the EWMA down to the least subnormal and holds it there, and a
+/// multiply with a subnormal operand or result takes a microcode assist
+/// (tens of nanoseconds) on common x86 cores. Below 2^-1021 — exponent
+/// field 0 or 1, where `|x| = m · 2^-1074` with `m` its low 63 bits and
+/// `c * x` may be subnormal — the product is formed in integers and
+/// rounded to nearest, ties to even, in units of 2^-1074. The rounded
+/// count is then the result's bit pattern; a round-up to 2^53 is exactly
+/// 2^-1021.
+fn mul_exact(c: f64, x: f64) -> f64 {
+    const SIGN: u64 = 1 << 63;
+    const FRAC: u64 = (1 << 52) - 1;
+    let xb = x.to_bits();
+    if xb & !SIGN >= 2 << 52 || !(0.5..1.0).contains(&c) {
+        return c * x;
+    }
+    // c = mc · 2^-53, so c · x = m · mc · 2^-1127: shift out 53 bits.
+    let mc = (c.to_bits() & FRAC) | (1 << 52);
+    let p = u128::from(xb & !SIGN) * u128::from(mc);
+    let (q, rem) = ((p >> 53) as u64, p as u64 & ((1 << 53) - 1));
+    let half = 1 << 52;
+    let q = q + u64::from(rem > half || (rem == half && q & 1 == 1));
+    f64::from_bits((xb & SIGN) | q)
+}
+
 /// Rolling telemetry for one link.
 #[derive(Debug, Clone)]
 pub struct LinkCounters {
@@ -60,7 +86,7 @@ impl LinkCounters {
     /// Record one periodic loss-rate sample.
     pub fn record_sample(&mut self, t: SimTime, loss: f64) {
         let loss = loss.clamp(0.0, 1.0);
-        self.loss_ewma = self.alpha * loss + (1.0 - self.alpha) * self.loss_ewma;
+        self.loss_ewma = self.alpha * loss + self.decayed();
         self.samples += 1;
         if loss > Self::ERRORED_THRESHOLD {
             self.errored_samples += 1;
@@ -75,7 +101,7 @@ impl LinkCounters {
     /// `loss`, bit for bit. Reads the retained edges as they are, without
     /// trimming them.
     pub(crate) fn is_steady_at(&self, loss: f64) -> bool {
-        let next = self.alpha * loss.clamp(0.0, 1.0) + (1.0 - self.alpha) * self.loss_ewma;
+        let next = self.alpha * loss.clamp(0.0, 1.0) + self.decayed();
         self.transitions.is_empty()
             && (loss.to_bits() == 0 || next.to_bits() == self.loss_ewma.to_bits())
     }
@@ -93,7 +119,7 @@ impl LinkCounters {
         }
         if loss.to_bits() == 0 {
             for _ in 0..n {
-                let next = self.alpha * 0.0 + (1.0 - self.alpha) * self.loss_ewma;
+                let next = self.alpha * 0.0 + self.decayed();
                 if next.to_bits() == self.loss_ewma.to_bits() {
                     break;
                 }
@@ -101,6 +127,11 @@ impl LinkCounters {
             }
         }
         self.last_sample = t;
+    }
+
+    /// The EWMA's carried-over share, `(1 - alpha) * loss_ewma`.
+    fn decayed(&self) -> f64 {
+        mul_exact(1.0 - self.alpha, self.loss_ewma)
     }
 
     /// Record a link state transition (up↔down edge or flap phase edge).
@@ -306,6 +337,89 @@ mod tests {
     fn since_maintenance_defaults_to_age() {
         let c = LinkCounters::new(SimDuration::from_hours(1));
         assert_eq!(c.since_maintenance(t(500)), SimDuration::from_secs(500));
+    }
+
+    /// A factor in [0.5, 1) with a random mantissa.
+    fn random_factor(draw: &mut dcmaint_des::Stream) -> f64 {
+        f64::from_bits((1022 << 52) | (draw.next_u64() >> 12))
+    }
+
+    #[test]
+    fn mul_exact_matches_hardware_below_2_pow_minus_1021() {
+        let mut draw = dcmaint_des::SimRng::root(11).stream("mul-exact", 0);
+        // The EWMA's own factor, a tie on every odd mantissa (0.5), ties
+        // on a quarter of them (0.75), the largest factor, random ones.
+        let mut factors = vec![1.0 - 0.3, 0.5, 0.75, 1.0 - f64::EPSILON / 2.0];
+        factors.extend((0..12).map(|_| random_factor(&mut draw)));
+        for &c in &factors {
+            // Every exponent below 2^-1021: the leading bit of m at
+            // position k (k = 52 is exponent field 1), with random bits
+            // below it, both signs; plus both zeros and the extremes.
+            let mut xs = vec![0.0, -0.0, f64::from_bits(1), f64::from_bits((1 << 53) - 1)];
+            for k in 0..53 {
+                for _ in 0..400 {
+                    let low = if k == 0 {
+                        0
+                    } else {
+                        draw.next_u64() >> (64 - k)
+                    };
+                    let m = (1u64 << k) | low;
+                    xs.push(f64::from_bits(m));
+                    xs.push(-f64::from_bits(m));
+                }
+            }
+            for x in xs {
+                assert!(x.abs() < f64::MIN_POSITIVE * 2.0);
+                assert_eq!(
+                    mul_exact(c, x).to_bits(),
+                    (c * x).to_bits(),
+                    "c = {c:e}, x = {x:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mul_exact_decay_paths_match_hardware() {
+        let mut draw = dcmaint_des::SimRng::root(12).stream("decay-path", 0);
+        for path in 0..200 {
+            // The EWMA's factor, or a random one fast enough to reach its
+            // fixed point (a few ulps of 2^-1074) within the step cap.
+            let c = if path % 2 == 0 {
+                1.0 - 0.3
+            } else {
+                draw.uniform_range(0.5, 0.9)
+            };
+            // Random starts from a full loss down to just above 2^-1021.
+            let e = 1 + draw.index(1023) as u64;
+            let mut x = f64::from_bits((e << 52) | (draw.next_u64() >> 12));
+            let mut hw = x;
+            let mut settled = false;
+            for _ in 0..20_000 {
+                let next = 0.3 * 0.0 + mul_exact(c, x);
+                let next_hw = 0.3 * 0.0 + c * hw;
+                assert_eq!(next.to_bits(), next_hw.to_bits(), "c = {c:e} from {x:e}");
+                if next.to_bits() == x.to_bits() {
+                    settled = true;
+                    break;
+                }
+                (x, hw) = (next, next_hw);
+            }
+            assert!(
+                settled && x.to_bits() <= 5,
+                "path {path} reaches its fixed point"
+            );
+        }
+        // And through the counters: a loss episode, then a clean decay.
+        let mut c = LinkCounters::new(SimDuration::from_hours(1));
+        let mut hw = 0.0f64;
+        for i in 0..3_000u64 {
+            let loss = if i < 40 { 0.02 } else { 0.0 };
+            c.record_sample(t(i * 15), loss);
+            hw = 0.3 * loss + (1.0 - 0.3) * hw;
+            assert_eq!(c.loss_ewma().to_bits(), hw.to_bits(), "sample {i}");
+        }
+        assert_eq!(c.loss_ewma().to_bits(), 1, "decays to the least subnormal");
     }
 
     #[test]

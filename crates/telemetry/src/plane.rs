@@ -28,6 +28,7 @@ use dcmaint_des::{SimDuration, SimTime};
 
 use crate::counters::LinkCounters;
 use crate::detect::{Alert, Detector};
+use crate::features::{extract, FEATURE_DIM};
 
 /// Fleet-wide telemetry state.
 #[derive(Debug)]
@@ -128,6 +129,15 @@ impl TelemetryPlane {
         self.catch_up(l.index());
         self.mark_active(l.index());
         &mut self.counters[l.index()]
+    }
+
+    /// The predictive feature vector of one link at `now`
+    /// ([`extract`] on its counters, caught up). Unlike
+    /// [`Self::counters`] it leaves a skipped link skipped: extraction
+    /// only trims retained flap edges, and a steady link retains none.
+    pub fn features(&mut self, topo: &Topology, l: LinkId, now: SimTime) -> [f64; FEATURE_DIM] {
+        self.catch_up(l.index());
+        extract(topo, l, &mut self.counters[l.index()], now)
     }
 
     /// Immutable counters access (up to date, like [`Self::counters`]).
@@ -339,6 +349,19 @@ mod tests {
         let alerts = p.sample(&t, &s, at(301));
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::Flapping);
+    }
+
+    #[test]
+    fn feature_reads_leave_steady_links_skipped() {
+        let (t, s, mut p) = setup();
+        p.sample(&t, &s, at(15));
+        assert!(p.active.iter().all(|&w| w == 0), "a healthy fabric settles");
+        for l in t.link_ids() {
+            p.features(&t, l, at(20));
+        }
+        assert!(p.active.iter().all(|&w| w == 0));
+        p.counters(LinkId(1));
+        assert_eq!(p.active[0], 1 << 1, "`&mut` access still activates");
     }
 
     #[test]

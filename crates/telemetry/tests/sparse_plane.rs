@@ -3,14 +3,16 @@
 //! later, and must stay indistinguishable from a dense reference that
 //! samples and evaluates every link at every poll, built only from the
 //! public `LinkCounters::record_sample` and `Detector::evaluate`. Alerts
-//! must be equal at every poll and checkpoint bytes equal after every
-//! step.
+//! must be equal at every poll, feature vectors read the way the
+//! predictive scan reads them (`TelemetryPlane::features`, which leaves
+//! skipped links skipped) equal to `extract` on the reference's
+//! counters, and checkpoint bytes equal after every step.
 
 use dcmaint_ckpt::{Dec, Enc};
 use dcmaint_dcnet::gen::leaf_spine;
 use dcmaint_dcnet::{DiversityProfile, LinkHealth, LinkId, NetState, Topology};
 use dcmaint_des::{SimDuration, SimRng, SimTime, Stream};
-use dcmaint_telemetry::{Alert, Detector, LinkCounters, TelemetryPlane};
+use dcmaint_telemetry::{extract, Alert, Detector, LinkCounters, TelemetryPlane};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -166,6 +168,17 @@ impl Pair {
         Ok(())
     }
 
+    /// A predictive scan: every link's feature vector, bit for bit.
+    fn scan(&mut self, now: SimTime, step: usize) -> Result<(), TestCaseError> {
+        for l in self.topo.link_ids() {
+            let got = self.plane.features(&self.topo, l, now).map(f64::to_bits);
+            let want =
+                extract(&self.topo, l, &mut self.dense.counters[l.index()], now).map(f64::to_bits);
+            prop_assert_eq!(got, want, "features of {:?} differ at step {}", l, step);
+        }
+        Ok(())
+    }
+
     fn same_bytes(&self, step: usize) -> Result<(), TestCaseError> {
         prop_assert!(
             plane_bytes(&self.plane) == self.dense.save(),
@@ -253,6 +266,7 @@ proptest! {
                     let bytes = plane_bytes(&p.plane);
                     p.plane = TelemetryPlane::load(&mut Dec::new(&bytes)).expect("load");
                 }
+                10 => p.scan(now, step)?,
                 _ => p.poll(now, step)?,
             }
             p.same_bytes(step)?;
@@ -267,6 +281,9 @@ proptest! {
                 p.poll(now, step)?;
                 if step % 100 == 0 {
                     p.read(hot[step % hot.len()], now)?;
+                }
+                if step % 40 == 0 {
+                    p.scan(now, step)?;
                 }
                 if step == steps + 1_000 {
                     // Servicing the precursor link resets its EWMA off

@@ -253,6 +253,10 @@ impl Ticket {
 pub struct TicketBoard {
     tickets: Vec<Ticket>,
     open_by_link: std::collections::BTreeMap<LinkId, TicketId>,
+    /// Positions in `tickets` per link, in creation order: the escalation
+    /// memory reads one link's history without scanning the board.
+    /// Derived from `tickets`, so it is rebuilt on load, never saved.
+    by_link: std::collections::BTreeMap<LinkId, Vec<usize>>,
     next_id: u64,
     journal: Journal,
 }
@@ -285,6 +289,10 @@ impl TicketBoard {
         }
         let id = TicketId(self.next_id);
         self.next_id += 1;
+        self.by_link
+            .entry(link)
+            .or_default()
+            .push(self.tickets.len());
         self.tickets.push(Ticket {
             id,
             link,
@@ -313,7 +321,8 @@ impl TicketBoard {
         &self.tickets[id.0 as usize]
     }
 
-    /// Mutable access.
+    /// Mutable access. A ticket's `link` must not change: the per-link
+    /// history index is keyed by it.
     pub fn get_mut(&mut self, id: TicketId) -> &mut Ticket {
         &mut self.tickets[id.0 as usize]
     }
@@ -409,11 +418,16 @@ impl TicketBoard {
         now: SimTime,
         window: SimDuration,
     ) -> Vec<RepairAction> {
+        let reactive = || {
+            self.by_link
+                .get(&link)
+                .into_iter()
+                .flatten()
+                .map(|&i| &self.tickets[i])
+                .filter(|t| t.trigger.is_reactive())
+        };
         let mut last_fix: Option<SimTime> = None;
-        for t in &self.tickets {
-            if t.link != link || !t.trigger.is_reactive() {
-                continue;
-            }
+        for t in reactive() {
             for a in &t.attempts {
                 if a.fixed && last_fix.is_none_or(|f| a.finished > f) {
                     last_fix = Some(a.finished);
@@ -421,10 +435,7 @@ impl TicketBoard {
             }
         }
         let mut out = Vec::new();
-        for t in &self.tickets {
-            if t.link != link || !t.trigger.is_reactive() {
-                continue;
-            }
+        for t in reactive() {
             for a in &t.attempts {
                 let after_fix = last_fix.is_none_or(|f| a.finished >= f);
                 if after_fix && now.since(a.finished) <= window {
@@ -517,9 +528,14 @@ impl TicketBoard {
             let link = LinkId::from_index(dec.u64()? as usize);
             open_by_link.insert(link, TicketId(dec.u64()?));
         }
+        let mut by_link = std::collections::BTreeMap::<LinkId, Vec<usize>>::new();
+        for (i, t) in tickets.iter().enumerate() {
+            by_link.entry(t.link).or_default().push(i);
+        }
         Ok(TicketBoard {
             tickets,
             open_by_link,
+            by_link,
             next_id,
             journal: Journal::disabled(),
         })
