@@ -102,10 +102,6 @@ impl LinkState {
 #[derive(Debug, Clone)]
 pub struct NetState {
     links: Vec<LinkState>,
-    /// Bitset of links whose loss rate is not exactly `+0.0` (bit `i % 64`
-    /// of word `i / 64`), kept by [`NetState::set_health`] so the
-    /// telemetry poll can find the lossy links without visiting all.
-    lossy: Vec<u64>,
 }
 
 impl NetState {
@@ -113,7 +109,6 @@ impl NetState {
     pub fn new(topo: &Topology) -> Self {
         NetState {
             links: vec![LinkState::default(); topo.link_count()],
-            lossy: vec![0; topo.link_count().div_ceil(64)],
         }
     }
 
@@ -132,23 +127,16 @@ impl NetState {
         self.links.is_empty()
     }
 
-    /// Set link health and its implied loss rate.
-    pub fn set_health(&mut self, l: LinkId, health: LinkHealth, loss_rate: f64) {
+    /// Set link health and its implied loss rate (clamped to `[0, 1]`).
+    /// Returns whether the stored loss rate changed, bit for bit (so
+    /// `-0.0` against `+0.0` is a change): the telemetry plane must hear
+    /// of every such change before its next poll.
+    pub fn set_health(&mut self, l: LinkId, health: LinkHealth, loss_rate: f64) -> bool {
         let s = &mut self.links[l.index()];
+        let before = s.loss_rate.to_bits();
         s.health = health;
         s.loss_rate = loss_rate.clamp(0.0, 1.0);
-        let (word, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
-        if s.loss_rate.to_bits() == 0 {
-            self.lossy[word] &= !bit;
-        } else {
-            self.lossy[word] |= bit;
-        }
-    }
-
-    /// Bitset of links whose loss rate is not exactly `+0.0`: bit `i % 64`
-    /// of word `i / 64` is set for link `i`.
-    pub fn lossy_words(&self) -> &[u64] {
-        &self.lossy
+        s.loss_rate.to_bits() != before
     }
 
     /// Set admin state.
@@ -247,17 +235,24 @@ mod tests {
     }
 
     #[test]
-    fn lossy_bitset_follows_set_health() {
+    fn set_health_reports_loss_changes() {
         let t = topo();
         let mut s = NetState::new(&t);
-        assert!(s.lossy_words().iter().all(|&w| w == 0));
-        s.set_health(LinkId(3), LinkHealth::Degraded, 0.01);
-        assert_eq!(s.lossy_words()[0], 1 << 3);
-        s.set_health(LinkId(3), LinkHealth::Up, 0.0);
-        assert!(s.lossy_words().iter().all(|&w| w == 0));
-        // Negative zero is not exactly +0.0, so it stays visible.
-        s.set_health(LinkId(3), LinkHealth::Up, -0.0);
-        assert_eq!(s.lossy_words()[0], 1 << 3);
+        assert!(!s.set_health(LinkId(3), LinkHealth::Up, 0.0), "already 0");
+        assert!(s.set_health(LinkId(3), LinkHealth::Degraded, 0.01));
+        assert!(
+            !s.set_health(LinkId(3), LinkHealth::Flapping, 0.01),
+            "same loss under a new health"
+        );
+        assert!(s.set_health(LinkId(3), LinkHealth::Down, 1.5));
+        assert!(
+            !s.set_health(LinkId(3), LinkHealth::Down, 1.0),
+            "1.5 clamped to 1.0"
+        );
+        assert!(s.set_health(LinkId(3), LinkHealth::Up, 0.0));
+        // Negative zero differs from +0.0 in its bits, so it is a change.
+        assert!(s.set_health(LinkId(3), LinkHealth::Up, -0.0));
+        assert!(s.set_health(LinkId(3), LinkHealth::Up, 0.0));
     }
 
     #[test]

@@ -920,7 +920,9 @@ impl Engine {
             None => (LinkHealth::Up, precursor),
         };
         let prev = self.state.link(l).health;
-        self.state.set_health(l, health, loss);
+        if self.state.set_health(l, health, loss) {
+            self.telemetry.on_loss_change(l);
+        }
         if prev != health {
             self.telemetry.on_transition(l, now);
         }
@@ -1122,9 +1124,12 @@ impl Engine {
             self.telemetry_dropouts += 1;
             return;
         }
+        let visits = self.telemetry.visits();
         let alerts = self.telemetry.sample(&self.topo, &self.state, now);
         if self.prof.is_enabled() {
             self.registry.add("prof/dcnet/alert", alerts.len() as u64);
+            let visited = self.telemetry.visits() - visits;
+            self.registry.add("prof/telemetry/visit", visited);
         }
         for alert in alerts {
             let trigger = match alert.kind {

@@ -94,37 +94,36 @@ impl LinkCounters {
         self.last_sample = t;
     }
 
-    /// Whether more samples at `loss` would change nothing but the
-    /// sample counts and time, given the detector stays silent: no flap
-    /// edge is retained, and either `loss` is `+0.0` (the EWMA can then
-    /// only decay) or the loss EWMA is a fixed point of the update at
-    /// `loss`, bit for bit. Reads the retained edges as they are, without
-    /// trimming them.
+    /// Whether more samples at `loss` leave the loss EWMA where it is or
+    /// below it: either `loss` is `+0.0` (the EWMA can then only decay)
+    /// or the EWMA is a fixed point of the update at `loss`, bit for bit.
     pub(crate) fn is_steady_at(&self, loss: f64) -> bool {
         let next = self.alpha * loss.clamp(0.0, 1.0) + self.decayed();
-        self.transitions.is_empty()
-            && (loss.to_bits() == 0 || next.to_bits() == self.loss_ewma.to_bits())
+        loss.to_bits() == 0 || next.to_bits() == self.loss_ewma.to_bits()
     }
 
-    /// Account for `n` samples at `loss` on a link steady at that loss,
-    /// the last taken at `t`: exactly what `n` calls of
-    /// [`LinkCounters::record_sample`] would do while
-    /// [`LinkCounters::is_steady_at`] holds. At zero loss the decay is
-    /// replayed one sample at a time until it reaches its fixed point.
+    /// Flap edges retained now, read as they are, without trimming.
+    pub(crate) fn retained_transitions(&self) -> usize {
+        self.transitions.len()
+    }
+
+    /// Account for `n` samples at `loss`, the last taken at `t`: exactly
+    /// what `n` calls of [`LinkCounters::record_sample`] would do. The
+    /// EWMA update is replayed one sample at a time until it reaches its
+    /// fixed point, which the remaining samples would leave unchanged,
+    /// or until all `n` are replayed.
     pub(crate) fn record_steady_samples(&mut self, n: u64, loss: f64, t: SimTime) {
-        debug_assert!(self.is_steady_at(loss));
+        let loss = loss.clamp(0.0, 1.0);
         self.samples += n;
-        if loss.clamp(0.0, 1.0) > Self::ERRORED_THRESHOLD {
+        if loss > Self::ERRORED_THRESHOLD {
             self.errored_samples += n;
         }
-        if loss.to_bits() == 0 {
-            for _ in 0..n {
-                let next = self.alpha * 0.0 + self.decayed();
-                if next.to_bits() == self.loss_ewma.to_bits() {
-                    break;
-                }
-                self.loss_ewma = next;
+        for _ in 0..n {
+            let next = self.alpha * loss + self.decayed();
+            if next.to_bits() == self.loss_ewma.to_bits() {
+                break;
             }
+            self.loss_ewma = next;
         }
         self.last_sample = t;
     }
@@ -420,6 +419,36 @@ mod tests {
             assert_eq!(c.loss_ewma().to_bits(), hw.to_bits(), "sample {i}");
         }
         assert_eq!(c.loss_ewma().to_bits(), 1, "decays to the least subnormal");
+    }
+
+    #[test]
+    fn steady_samples_equal_single_samples_at_any_loss() {
+        // From below and above each loss's fixed point, from zero, and
+        // from the subnormal a decayed EWMA sticks at; lags shorter and
+        // longer than the replay needs to settle.
+        let starts = [0.0, f64::from_bits(1), 1e-6, 0.0004, 0.02, 1.0];
+        let losses = [0.0, -0.0, 5e-5, 4e-4, 0.0008, 0.01, 1.0, 1.5];
+        for &start in &starts {
+            for &loss in &losses {
+                for n in [1, 2, 7, 40, 300, 3_000] {
+                    let mut lead = LinkCounters::new(SimDuration::from_hours(1));
+                    lead.loss_ewma = start;
+                    let mut bulk = lead.clone();
+                    for i in 1..=n {
+                        lead.record_sample(t(i * 15), loss);
+                    }
+                    bulk.record_steady_samples(n, loss, t(n * 15));
+                    assert_eq!(
+                        bulk.loss_ewma().to_bits(),
+                        lead.loss_ewma().to_bits(),
+                        "from {start:e} at {loss:e}, n = {n}"
+                    );
+                    assert_eq!(bulk.samples, lead.samples);
+                    assert_eq!(bulk.errored_samples, lead.errored_samples);
+                    assert_eq!(bulk.last_sample, lead.last_sample);
+                }
+            }
+        }
     }
 
     #[test]

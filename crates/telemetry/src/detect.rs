@@ -167,6 +167,20 @@ impl Detector {
         self.armed
     }
 
+    /// When a disarmed detector re-arms: `last_fire + rearm_after`.
+    /// Until then [`Detector::evaluate`] returns before reading the
+    /// counters, so a poll of the link only records its sample. `None`
+    /// while armed.
+    pub fn rearms_at(&self) -> Option<SimTime> {
+        if self.armed {
+            return None;
+        }
+        Some(
+            self.last_fire
+                .map_or(SimTime::ZERO, |t| t + self.rearm_after),
+        )
+    }
+
     /// Force re-arm (after maintenance verified the link healthy).
     pub fn rearm(&mut self) {
         self.armed = true;
@@ -265,6 +279,24 @@ mod tests {
         d.rearm();
         assert!(d.is_armed());
         assert!(d.evaluate(LinkId(0), &mut c, 1.0, t(1)).is_some());
+    }
+
+    #[test]
+    fn rearms_at_marks_the_end_of_the_hold_off() {
+        let (mut d, mut c) = setup();
+        assert_eq!(d.rearms_at(), None, "armed");
+        assert!(d.evaluate(LinkId(0), &mut c, 1.0, t(100)).is_some());
+        let at = t(100) + d.rearm_after;
+        assert_eq!(d.rearms_at(), Some(at));
+        // Silent just before, re-armed (and firing again) at that time.
+        assert!(d
+            .evaluate(LinkId(0), &mut c, 1.0, t(100 + 30 * 60 - 1))
+            .is_none());
+        assert_eq!(d.rearms_at(), Some(at));
+        assert!(d.evaluate(LinkId(0), &mut c, 1.0, at).is_some());
+        assert_eq!(d.rearms_at(), Some(at + d.rearm_after));
+        d.rearm();
+        assert_eq!(d.rearms_at(), None, "armed again after rearm()");
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Differential test of the sparse telemetry poll: `TelemetryPlane`
-//! skips links that are steady at their current loss and catches them up
-//! later, and must stay indistinguishable from a dense reference that
+//! parks links that a poll cannot make alert (disarmed detectors until
+//! they re-arm, armed ones steady at their current loss), catches them
+//! up later, and must stay indistinguishable from a dense reference that
 //! samples and evaluates every link at every poll, built only from the
-//! public `LinkCounters::record_sample` and `Detector::evaluate`. Alerts
-//! must be equal at every poll, feature vectors read the way the
-//! predictive scan reads them (`TelemetryPlane::features`, which leaves
-//! skipped links skipped) equal to `extract` on the reference's
-//! counters, and checkpoint bytes equal after every step.
+//! public `LinkCounters::record_sample` and `Detector::evaluate`. Loss
+//! changes reach the plane the way the engine reports them: every
+//! `NetState::set_health` that changes a loss calls
+//! `TelemetryPlane::on_loss_change`. Alerts must be equal at every poll,
+//! feature vectors read the way the predictive scan reads them
+//! (`TelemetryPlane::features`, which leaves parked links parked) equal
+//! to `extract` on the reference's counters, and checkpoint bytes equal
+//! after every step.
 
 use dcmaint_ckpt::{Dec, Enc};
 use dcmaint_dcnet::gen::leaf_spine;
@@ -125,7 +129,32 @@ struct Pair {
 }
 
 impl Pair {
-    fn poll(&mut self, now: SimTime, step: usize) -> Result<(), TestCaseError> {
+    fn new(topo: Topology, template: &Detector) -> Self {
+        let n = topo.link_count();
+        Pair {
+            state: NetState::new(&topo),
+            plane: TelemetryPlane::with_config(&topo, POLL, template.clone()),
+            dense: Dense::new(n, template),
+            topo,
+        }
+    }
+
+    /// A write to `NetState`, its loss change reported as the engine's
+    /// `recompute_link` reports it.
+    fn set_health(&mut self, l: LinkId, health: LinkHealth, loss: f64) {
+        if self.state.set_health(l, health, loss) {
+            self.plane.on_loss_change(l);
+        }
+    }
+
+    /// Flap edges at `at`, recorded on both sides.
+    fn transition(&mut self, l: LinkId, at: SimTime) {
+        self.plane.on_transition(l, at);
+        self.dense.counters[l.index()].record_transition(at);
+    }
+
+    /// One poll on both sides; returns the number of alerts.
+    fn poll(&mut self, now: SimTime, step: usize) -> Result<usize, TestCaseError> {
         let got: Vec<_> = self
             .plane
             .sample(&self.topo, &self.state, now)
@@ -138,8 +167,8 @@ impl Pair {
             .iter()
             .map(alert_key)
             .collect();
-        prop_assert_eq!(got, want, "alerts differ at step {}", step);
-        Ok(())
+        prop_assert_eq!(&got, &want, "alerts differ at step {}", step);
+        Ok(got.len())
     }
 
     fn read(&mut self, l: LinkId, now: SimTime) -> Result<(), TestCaseError> {
@@ -207,13 +236,7 @@ proptest! {
     ) {
         let topo = fabric(big == 1);
         let n = topo.link_count();
-        let template = detector(variant);
-        let mut p = Pair {
-            state: NetState::new(&topo),
-            plane: TelemetryPlane::with_config(&topo, POLL, template.clone()),
-            dense: Dense::new(n, &template),
-            topo,
-        };
+        let mut p = Pair::new(topo, &detector(variant));
         let mut draw = SimRng::root(seed).stream("sparse-plane", 0);
         // Faults touch a few links over and over, so episodes overlap:
         // two links mostly see loss, two mostly see flap edges (so some
@@ -233,15 +256,14 @@ proptest! {
             match op {
                 0 | 1 => {
                     let (health, loss) = random_health(&mut draw);
-                    p.state.set_health(l, health, loss);
+                    p.set_health(l, health, loss);
                 }
-                2 => p.state.set_health(l, LinkHealth::Up, 0.0),
+                2 => p.set_health(l, LinkHealth::Up, 0.0),
                 3 => {
                     // A burst of flap edges, often enough for a flap alert.
                     for _ in 0..1 + draw.index(6) {
                         now += SimDuration::from_secs(1);
-                        p.plane.on_transition(l, now);
-                        p.dense.counters[l.index()].record_transition(now);
+                        p.transition(l, now);
                     }
                 }
                 4 => {
@@ -267,15 +289,17 @@ proptest! {
                     p.plane = TelemetryPlane::load(&mut Dec::new(&bytes)).expect("load");
                 }
                 10 => p.scan(now, step)?,
-                _ => p.poll(now, step)?,
+                _ => {
+                    p.poll(now, step)?;
+                }
             }
             p.same_bytes(step)?;
         }
         if tail == 1 {
-            for l in p.topo.link_ids() {
-                p.state.set_health(l, LinkHealth::Up, 0.0);
+            for l in p.topo.link_ids().collect::<Vec<_>>() {
+                p.set_health(l, LinkHealth::Up, 0.0);
             }
-            p.state.set_health(hot[0], LinkHealth::Flapping, 4e-4);
+            p.set_health(hot[0], LinkHealth::Flapping, 4e-4);
             for step in steps..steps + 2_200 {
                 now += POLL;
                 p.poll(now, step)?;
@@ -296,4 +320,59 @@ proptest! {
             }
         }
     }
+}
+
+/// An armed link parks holding fewer flap edges than the threshold; the
+/// edges expire while it is parked, and it then goes hard down. The
+/// hard-down evaluation reads no edges, so only the catch-up's trim at
+/// the latest poll drops the expired ones before the bytes are compared.
+#[test]
+fn armed_link_parked_with_edges_goes_down_after_they_expire() {
+    let mut p = Pair::new(fabric(false), &Detector::default());
+    let l = LinkId::from_index(3);
+    let mut now = SimTime::ZERO;
+    for _ in 0..3 {
+        now += SimDuration::from_secs(1);
+        p.transition(l, now);
+    }
+    // 40 minutes of polls: the edges outlive the 30-minute window by ten.
+    for step in 0..160 {
+        now += POLL;
+        p.poll(now, step).unwrap();
+    }
+    p.set_health(l, LinkHealth::Down, 1.0);
+    now += POLL;
+    p.poll(now, 160).unwrap();
+    p.same_bytes(160).unwrap();
+    let mut caught_up = p.plane.counters_ref(l).into_owned();
+    assert_eq!(caught_up.recent_transitions(now), 0);
+    p.read(l, now).unwrap();
+    p.same_bytes(161).unwrap();
+}
+
+/// A link parks disarmed after a hard-down alert; its loss changes twice
+/// before its detector re-arms, then it stays gray past the re-arm time
+/// and must re-escalate on the very poll a dense plane would.
+#[test]
+fn parked_disarmed_link_whose_loss_changes_before_it_wakes() {
+    let mut p = Pair::new(fabric(true), &Detector::default());
+    let l = LinkId::from_index(70);
+    let mut now = SimTime::ZERO;
+    p.set_health(l, LinkHealth::Down, 1.0);
+    let mut alerts = 0;
+    for step in 0..200 {
+        now += POLL;
+        match step {
+            20 => p.set_health(l, LinkHealth::Degraded, 0.01),
+            60 => p.set_health(l, LinkHealth::Flapping, 4e-4),
+            61 => p.set_health(l, LinkHealth::Degraded, 0.02),
+            _ => {}
+        }
+        alerts += p.poll(now, step).unwrap();
+        if step % 50 == 0 {
+            p.scan(now, step).unwrap();
+        }
+        p.same_bytes(step).unwrap();
+    }
+    assert_eq!(alerts, 2, "down at once, gray again when it re-arms");
 }

@@ -557,7 +557,9 @@ fn random_fabric(
             continue;
         }
         match draw.index(4) {
-            0 => state.set_health(l, LinkHealth::Down, 1.0),
+            0 => {
+                state.set_health(l, LinkHealth::Down, 1.0);
+            }
             1 => state.set_admin(l, AdminState::Drained),
             2 => state.set_admin(l, AdminState::Draining),
             _ => state.set_admin(l, AdminState::Maintenance),
